@@ -1,7 +1,8 @@
 // The benchmark's own arithmetic, kept apart from the driver so that
 // bench_math_test.cc can check it without building the product: medians,
-// the reported tail percentile, the failure rate, the kind-name sanitizer
-// used in metric names and the record-digest comparison.
+// nearest-rank percentiles, the reported tail percentile, the failure
+// rate, the kind-name sanitizer used in metric names and the
+// record-digest comparison.
 #pragma once
 
 #include <algorithm>
@@ -26,6 +27,22 @@ inline double median(std::vector<double> samples) {
                     : (samples[n / 2 - 1] + samples[n / 2]) / 2.0;
 }
 
+// 1-based nearest rank of percentile `level` among `n` samples, at least
+// 1; the epsilon keeps 90% of 20 at rank 18.
+inline std::size_t nearest_rank(std::size_t n, double level) {
+  const auto rank = static_cast<std::size_t>(
+      std::ceil(level / 100.0 * static_cast<double>(n) - 1e-9));
+  return std::max<std::size_t>(1, std::min(rank, n));
+}
+
+// Nearest-rank percentile; at level 1 it is the minimum of up to 100
+// samples.
+inline double percentile(std::vector<double> samples, double level) {
+  if (samples.empty()) throw std::invalid_argument("percentile of no samples");
+  std::sort(samples.begin(), samples.end());
+  return samples[nearest_rank(samples.size(), level) - 1];
+}
+
 // The highest percentile of {50, 90, 99, 99.9, 99.99} that has at least
 // `min_beyond` samples strictly above its nearest rank. A tail read from
 // fewer samples than that is noise, so a run with too few samples
@@ -45,10 +62,8 @@ inline Tail tail_percentile(std::vector<double> samples,
   if (n == 0) return tail;
   std::sort(samples.begin(), samples.end());
   for (double level : kLevels) {
-    // Nearest rank, 1-based; the epsilon keeps 90% of 20 at rank 18.
-    const auto rank = static_cast<std::size_t>(
-        std::ceil(level / 100.0 * static_cast<double>(n) - 1e-9));
-    if (rank == 0 || n - rank < min_beyond) continue;
+    const std::size_t rank = nearest_rank(n, level);
+    if (n - rank < min_beyond) continue;
     tail.present = true;
     tail.level = level;
     tail.value = samples[rank - 1];

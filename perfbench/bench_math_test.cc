@@ -59,6 +59,23 @@ void test_tail() {
   expect(!tail_percentile({}).present, "no samples, no tail");
 }
 
+void test_percentile() {
+  using perfbench::percentile;
+  expect(near(percentile(one_to(100), 1.0), 1.0), "p1 of 100 is the minimum");
+  expect(near(percentile(one_to(12), 1.0), 1.0), "p1 of 12 is the minimum");
+  expect(near(percentile(one_to(1000), 1.0), 10.0), "p1 of 1000 = rank 10");
+  expect(near(percentile(one_to(201), 1.0), 3.0), "p1 of 201 = rank 3");
+  expect(near(percentile(one_to(20), 90.0), 18.0), "p90 of 20 = rank 18");
+  expect(near(percentile({7.0}, 50.0), 7.0), "one sample");
+  bool threw = false;
+  try {
+    percentile({}, 1.0);
+  } catch (const std::invalid_argument&) {
+    threw = true;
+  }
+  expect(threw, "percentile of nothing throws");
+}
+
 void test_fail_rate() {
   expect(near(perfbench::fail_rate(0, 12), 0.0), "fail_rate 0/12");
   expect(near(perfbench::fail_rate(3, 12), 0.25), "fail_rate 3/12");
@@ -102,6 +119,7 @@ void test_digest() {
 int main() {
   test_median();
   test_tail();
+  test_percentile();
   test_fail_rate();
   test_sanitize();
   test_digest();

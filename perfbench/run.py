@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Entry point of the ddtr benchmark.
 
-    python3 perfbench/run.py --workload cold_serial --seed 0 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload cold_serial --seed 0 --seconds 50 --trace 0
 
 Run from the repository root. Builds the product and the driver from
 source (perfbench/CMakeLists.txt) into $CARGO_TARGET_DIR/perfbench, or
@@ -20,7 +20,7 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-WORKLOADS = ("cold_serial", "cold_lanes", "warm_replay")
+WORKLOADS = ("cold_serial", "warm_replay")
 BUILD_TIMEOUT_S = 840
 RUN_GRACE_S = 110
 
