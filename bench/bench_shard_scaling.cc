@@ -3,10 +3,7 @@
 // workers, segment merge, coordinator replay — at workers = 1/2/4, the
 // coordinator's executed-simulation count (0 for every sharded run: the
 // merged segments cover the full unit space), and a byte-identical check
-// against the plain serial run. Each multi-worker point also runs a
-// --step1-sharded variant (workers split step 1 too and rendezvous in
-// the segment barrier), which removes the replicated step-1 prefix that
-// otherwise Amdahl-bounds the distributed speedup.
+// against the plain serial run.
 //
 // Note: like bench_parallel_scaling, speedup is bounded by the machine —
 // on a single hardware thread the shard workers serialize and the sharded
@@ -29,10 +26,9 @@ namespace {
 
 using namespace ddtr;
 
-std::string scratch_dir(std::size_t workers, bool step1_sharded) {
+std::string scratch_dir(std::size_t workers) {
   return (std::filesystem::temp_directory_path() /
-          ("ddtr_bench_shard_w" + std::to_string(workers) +
-           (step1_sharded ? "_s1" : "")))
+          ("ddtr_bench_shard_w" + std::to_string(workers)))
       .string();
 }
 
@@ -56,13 +52,8 @@ int main() {
                                     serial_t0)
           .count();
 
-  struct SweepPoint {
-    std::size_t workers;
-    bool step1_sharded;
-  };
-  const std::vector<SweepPoint> sweep = {
-      {1, false}, {2, false}, {2, true}, {4, false}, {4, true}};
-  support::TextTable table({"workers", "step1 sharded", "seconds", "speedup",
+  const std::vector<std::size_t> sweep = {1, 2, 4};
+  support::TextTable table({"workers", "seconds", "speedup",
                             "coordinator executed", "identical to serial"});
   std::ostringstream results_json;
   results_json << '[';
@@ -72,15 +63,13 @@ int main() {
   bool all_ok = true;
 
   for (std::size_t i = 0; i < sweep.size(); ++i) {
-    const std::size_t workers = sweep[i].workers;
-    const bool step1_sharded = sweep[i].step1_sharded;
-    const std::string dir = scratch_dir(workers, step1_sharded);
+    const std::size_t workers = sweep[i];
+    const std::string dir = scratch_dir(workers);
     std::filesystem::remove_all(dir);
 
     api::Exploration session(study);
     session.cache_dir(dir);
     if (workers > 1) session.workers(workers);
-    if (step1_sharded) session.step1_sharded();
 
     const auto t0 = std::chrono::steady_clock::now();
     const core::ExplorationReport& report = session.run();
@@ -95,15 +84,13 @@ int main() {
     const std::size_t executed = report.executed_simulations();
     if (!identical || (workers > 1 && executed != 0)) all_ok = false;
 
-    table.add_row({std::to_string(workers), step1_sharded ? "yes" : "no",
+    table.add_row({std::to_string(workers),
                    support::format_double(seconds, 3),
                    support::format_double(speedup, 2),
                    std::to_string(executed), identical ? "yes" : "NO"});
 
     if (i > 0) results_json << ',';
-    results_json << "{\"workers\":" << workers << ",\"step1_sharded\":"
-                 << (step1_sharded ? "true" : "false")
-                 << ",\"seconds\":" << seconds << ",\"speedup\":" << speedup
+    results_json << "{\"workers\":" << workers << ",\"seconds\":" << seconds << ",\"speedup\":" << speedup
                  << ",\"coordinator_executed\":" << executed
                  << ",\"persistent_loaded\":" << report.persistent_loaded
                  << ",\"identical\":" << (identical ? "true" : "false")

@@ -96,35 +96,3 @@ void register_builtin_workloads(StudyRegistry& registry) {
 }
 
 }  // namespace ddtr::api::detail
-
-// Deprecated shims declared in core/case_studies.h. They are defined here,
-// in the api layer, so core never includes upward into api; they resolve
-// through the registry to the exact definitions above.
-namespace ddtr::core {
-
-CaseStudy make_route_study(const CaseStudyOptions& options) {
-  return api::registry().make_study("route", options);
-}
-
-CaseStudy make_url_study(const CaseStudyOptions& options) {
-  return api::registry().make_study("url", options);
-}
-
-CaseStudy make_ipchains_study(const CaseStudyOptions& options) {
-  return api::registry().make_study("ipchains", options);
-}
-
-CaseStudy make_drr_study(const CaseStudyOptions& options) {
-  return api::registry().make_study("drr", options);
-}
-
-std::vector<CaseStudy> make_all_case_studies(
-    const CaseStudyOptions& options) {
-  std::vector<CaseStudy> studies;
-  for (const std::string& name : api::registry().names()) {
-    studies.push_back(api::registry().make_study(name, options));
-  }
-  return studies;
-}
-
-}  // namespace ddtr::core

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/case_studies.h"
-#include "dist/barrier.h"
 #include "dist/segment_merger.h"
 
 namespace ddtr::api {
@@ -55,16 +54,6 @@ Exploration& Exploration::cache_dir(std::string dir) {
 Exploration& Exploration::shard(std::size_t index, std::size_t count) {
   options_.shard_index = index;
   options_.shard_count = count == 0 ? 1 : count;
-  return *this;
-}
-
-Exploration& Exploration::step1_sharded(bool enabled) {
-  options_.step1_sharded = enabled;
-  return *this;
-}
-
-Exploration& Exploration::barrier_timeout(std::chrono::milliseconds timeout) {
-  barrier_timeout_ = timeout;
   return *this;
 }
 
@@ -126,26 +115,9 @@ const core::ExplorationReport& Exploration::run() {
     }
     return run_distributed();
   }
-  core::ExplorationOptions options = options_;
-  if (options.step1_sharded && options.shard_count > 1 &&
-      !options.step1_barrier) {
-    options.step1_barrier = make_step1_barrier(options);
-  }
-  const core::ExplorationEngine engine(model_, options);
+  const core::ExplorationEngine engine(model_, options_);
   report_ = engine.explore(study_);
   return *report_;
-}
-
-core::Step1Barrier Exploration::make_step1_barrier(
-    const core::ExplorationOptions& options) const {
-  dist::BarrierOptions barrier_options;
-  barrier_options.timeout = barrier_timeout_;
-  barrier_options.cancel = options.cancel;
-  const auto barrier = std::make_shared<dist::SegmentBarrier>(
-      options.cache_dir, options.shard_count,
-      core::step1_fingerprint(study_, model_, options.step1_policy),
-      barrier_options);
-  return [barrier] { barrier->wait(); };
 }
 
 const core::ExplorationReport& Exploration::run_distributed() {
@@ -169,17 +141,6 @@ const core::ExplorationReport& Exploration::run_distributed() {
     };
   }
 
-  // With step-1 sharding, every in-process worker parks in the SAME
-  // barrier object (wait() is stateless and re-entrant); the markers and
-  // segments still go through the cache directory, exactly like a
-  // cross-process fleet, so this path exercises the real rendezvous.
-  core::Step1Barrier shared_barrier;
-  if (options_.step1_sharded) {
-    core::ExplorationOptions probe = options_;
-    probe.shard_count = count;
-    shared_barrier = make_step1_barrier(probe);
-  }
-
   // Phase 1: every shard as one thread. All shards share the session's
   // cancel flag, so a failing shard — or a user cancel() — stops the
   // whole fleet cooperatively; each shard still checkpoints what it
@@ -188,14 +149,12 @@ const core::ExplorationReport& Exploration::run_distributed() {
   std::vector<std::exception_ptr> errors(count);
   threads.reserve(count);
   for (std::size_t s = 0; s < count; ++s) {
-    threads.emplace_back([this, s, count, &serialized, &errors,
-                          &shared_barrier] {
+    threads.emplace_back([this, s, count, &serialized, &errors] {
       try {
         core::ExplorationOptions options = options_;
         options.shard_index = s;
         options.shard_count = count;
         options.progress = serialized;
-        options.step1_barrier = shared_barrier;
         const core::ExplorationEngine engine(model_, options);
         engine.explore(study_);
       } catch (...) {

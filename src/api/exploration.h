@@ -14,20 +14,16 @@
 //
 // Distributed execution (see src/dist/): shard(i, n) turns run() into one
 // worker of an n-way sharded exploration (requires cache_dir — shards
-// meet only through cache segments); step1_sharded() additionally splits
-// step 1 across the fleet, with the workers rendezvousing on marker
-// files through a dist::SegmentBarrier that run() installs
-// automatically; workers(n) runs the whole distributed flow in-process —
-// n shard sessions on n threads, a segment merge, then a coordinator
-// pass whose report (byte-identical to a single-process run, zero
-// executed simulations) becomes report().
+// meet only through cache segments); workers(n) runs the whole
+// distributed flow in-process — n shard sessions on n threads, a segment
+// merge, then a coordinator pass whose report (byte-identical to a
+// single-process run, zero executed simulations) becomes report().
 // cancel() cooperatively stops a running exploration from an observer,
 // another thread or a signal handler; the cancelled run still checkpoints
 // its executed records to the persistent cache.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <memory>
 #include <optional>
 #include <string>
@@ -60,20 +56,6 @@ class Exploration {
   // step-2 units and store them into the per-shard cache segment.
   // Requires cache_dir(). count <= 1 restores single-process execution.
   Exploration& shard(std::size_t index, std::size_t count);
-  // Shard step 1 too: the worker executes only its owned step-1 units,
-  // checkpoints them into its segment, publishes a
-  // "step1.<fingerprint>.shard<I>of<N>.done" marker, and waits in a
-  // dist::SegmentBarrier (installed automatically by run()) until every
-  // sibling's marker exists — then merges all segments and replays the
-  // full step-1 set, so survivor selection (and the final report) stays
-  // byte-identical to the unsharded run. All N workers must be running
-  // concurrently; a missing sibling surfaces as a clean barrier-timeout
-  // error (see barrier_timeout()), and cancel() while parked in the
-  // barrier still leaves a loadable checkpointed segment.
-  Exploration& step1_sharded(bool enabled = true);
-  // Ceiling on the step-1 barrier wait (default 10 minutes). On expiry
-  // run() throws std::runtime_error naming the missing shards.
-  Exploration& barrier_timeout(std::chrono::milliseconds timeout);
   // Distributed run driven entirely from the API: run() executes `count`
   // in-process shard workers (one thread each, each with this session's
   // jobs() lanes and its own cache segment), merges the segments
@@ -129,17 +111,11 @@ class Exploration {
 
  private:
   const core::ExplorationReport& run_distributed();
-  // A Step1Barrier hook wrapping dist::SegmentBarrier for `options`'
-  // cache dir / geometry / policy; shared by every in-process worker of
-  // a workers() run (wait() is stateless).
-  core::Step1Barrier make_step1_barrier(
-      const core::ExplorationOptions& options) const;
 
   core::CaseStudy study_;
   energy::EnergyModel model_;
   core::ExplorationOptions options_;
   std::size_t workers_ = 1;
-  std::chrono::milliseconds barrier_timeout_ = std::chrono::minutes(10);
   std::shared_ptr<std::atomic<bool>> cancel_;
   std::optional<core::ExplorationReport> report_;
 };

@@ -4,10 +4,6 @@
 
 #include "energy/energy_model.h"
 
-// The deprecated make_*_study shims declared in this header are defined in
-// api/builtin_workloads.cc, next to the registry that now owns the study
-// definitions — core stays free of upward includes into the api layer.
-
 namespace ddtr::core {
 
 CaseStudyOptions CaseStudyOptions::scaled(double factor) const {
@@ -22,6 +18,21 @@ CaseStudyOptions CaseStudyOptions::scaled(double factor) const {
   out.drr_packets = scale(drr_packets);
   out.seed_offset = seed_offset;  // scaling resizes traces, not identity
   return out;
+}
+
+std::string scale_error(double value) {
+  // Written so that NaN fails the comparison; inf exceeds the bound.
+  if (!(value > 0.0 && value <= 100.0)) {
+    return "scale must be finite and in (0, 100]";
+  }
+  return {};
+}
+
+std::string survivor_cap_error(double value) {
+  if (!(value >= 0.0 && value <= 1.0)) {
+    return "survivor-cap must be in [0, 1]";
+  }
+  return {};
 }
 
 energy::EnergyModel make_paper_energy_model() {

@@ -268,13 +268,13 @@ std::string Server::validate(const SubmitRequest& request) const {
     }
     return "unknown app '" + request.app + "' (have: " + known + ")";
   }
-  if (!(request.scale > 0.0) || !std::isfinite(request.scale) ||
-      request.scale > 100.0) {
-    return "scale must be finite and in (0, 100]";
+  if (std::string reason = core::scale_error(request.scale);
+      !reason.empty()) {
+    return reason;
   }
-  if (request.survivor_cap < 0.0 || request.survivor_cap > 1.0 ||
-      !std::isfinite(request.survivor_cap)) {
-    return "survivor-cap must be in [0, 1]";
+  if (std::string reason = core::survivor_cap_error(request.survivor_cap);
+      !reason.empty()) {
+    return reason;
   }
   if (request.every_s < 0.0 || !std::isfinite(request.every_s)) {
     return "every must be a finite non-negative number of seconds";

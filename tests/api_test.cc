@@ -1,12 +1,15 @@
 // Public API layer: StudyRegistry registration/enumeration semantics,
 // StudyBuilder grid expansion and trace sharing, the Exploration session
 // (chainable options + progress observer), and the acceptance contract
-// that a registry/builder-built study produces a report byte-identical to
-// the legacy make_*_study path.
+// that a builder-built study produces a report byte-identical to the
+// registry's built-in one.
 #include <gtest/gtest.h>
 
-#include <set>
+#include <unistd.h>
+
+#include <filesystem>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "api/ddtr.h"
@@ -190,42 +193,59 @@ TEST(Exploration, ReportThrowsBeforeRunAndOptionsChain) {
 }
 
 TEST(Exploration, ProgressObserverSeesEverySimulationSerialized) {
-  Exploration session(registry().make_study("url", tiny_options()));
-  std::vector<core::StepProgress> events;
-  const core::ExplorationReport& report =
-      session.jobs(4)
-          .on_progress([&](const core::StepProgress& p) {
-            events.push_back(p);  // serialized by the engine: no lock here
-          })
-          .run();
+  // A plain session and one sharded worker: the worker runs step 1 in
+  // full and settles foreign step-2 units as skips, yet its stream obeys
+  // the same one-sequence-per-step contract.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("ddtr_api_progress_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  Exploration plain(registry().make_study("url", tiny_options()));
+  Exploration sharded(registry().make_study("url", tiny_options()));
+  sharded.cache_dir(dir.string()).shard(0, 2);
 
-  ASSERT_FALSE(events.empty());
-  // Events arrive in step order, `done` increments by one from 0 to total
-  // within each step, and each step ends exactly once at done == total.
-  std::set<int> steps;
-  std::size_t i = 0;
-  for (const int step : {1, 2}) {
-    ASSERT_LT(i, events.size());
-    EXPECT_EQ(events[i].step, step);
-    EXPECT_EQ(events[i].done, 0u);
-    const std::size_t total = events[i].total;
-    for (std::size_t done = 0; done <= total; ++done, ++i) {
+  for (Exploration* session : {&plain, &sharded}) {
+    SCOPED_TRACE(session == &plain ? "plain" : "shard 0/2");
+    std::vector<core::StepProgress> events;
+    const core::ExplorationReport& report =
+        session->jobs(4)
+            .on_progress([&](const core::StepProgress& p) {
+              events.push_back(p);  // serialized by the engine: no lock
+            })
+            .run();
+
+    ASSERT_FALSE(events.empty());
+    // Events arrive in step order, `done` increments by one from 0 to
+    // total within each step, and each step ends exactly once at
+    // done == total.
+    std::size_t i = 0;
+    for (const int step : {1, 2}) {
       ASSERT_LT(i, events.size());
       EXPECT_EQ(events[i].step, step);
-      EXPECT_EQ(events[i].done, done);
-      EXPECT_EQ(events[i].total, total);
-      steps.insert(events[i].step);
+      EXPECT_EQ(events[i].done, 0u);
+      const std::size_t total = events[i].total;
+      for (std::size_t done = 0; done <= total; ++done, ++i) {
+        ASSERT_LT(i, events.size());
+        EXPECT_EQ(events[i].step, step);
+        EXPECT_EQ(events[i].done, done);
+        EXPECT_EQ(events[i].total, total);
+        EXPECT_EQ(events[i].shard_index, report.shard_index);
+        EXPECT_EQ(events[i].shard_count, report.shard_count);
+      }
     }
+    EXPECT_EQ(i, events.size());
+    // Totals are the report's logical simulation counts; a worker's
+    // step 2 also settles the units it left to the other shard.
+    EXPECT_EQ(events.front().total, report.step1_simulations);
+    EXPECT_EQ(events.back().total,
+              report.step2_simulations + report.skipped_foreign_shard);
+    EXPECT_EQ(events.back().done, events.back().total);
   }
-  EXPECT_EQ(i, events.size());
-  EXPECT_EQ(steps, (std::set<int>{1, 2}));
-  // Totals are the report's logical simulation counts.
-  EXPECT_EQ(events.front().total, report.step1_simulations);
-  EXPECT_EQ(events.back().total, report.step2_simulations);
-  EXPECT_EQ(events.back().done, report.step2_simulations);
+  EXPECT_GT(sharded.report().skipped_foreign_shard, 0u);
+  std::filesystem::remove_all(dir);
 }
 
-TEST(Api, BuilderStudyBitIdenticalToLegacyRouteShim) {
+TEST(Api, BuilderStudyBitIdenticalToRegistryRoute) {
   const core::CaseStudyOptions options = tiny_options();
 
   // The documented builder recipe for the paper's Route study...
@@ -239,25 +259,24 @@ TEST(Api, BuilderStudyBitIdenticalToLegacyRouteShim) {
   }
   const core::CaseStudy built = builder.build();
 
-  // ...versus the deprecated free-function path.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const core::CaseStudy legacy = core::make_route_study(options);
-#pragma GCC diagnostic pop
+  // ...versus the registry's built-in "route" workload.
+  const core::CaseStudy registered =
+      registry().make_study("route", options);
 
-  ASSERT_EQ(built.scenarios.size(), legacy.scenarios.size());
+  ASSERT_EQ(built.scenarios.size(), registered.scenarios.size());
   for (std::size_t i = 0; i < built.scenarios.size(); ++i) {
-    EXPECT_EQ(built.scenarios[i].label(), legacy.scenarios[i].label());
+    EXPECT_EQ(built.scenarios[i].label(), registered.scenarios[i].label());
     // Same shared trace instance (both come from the global TraceStore).
-    EXPECT_EQ(built.scenarios[i].trace.get(), legacy.scenarios[i].trace.get());
+    EXPECT_EQ(built.scenarios[i].trace.get(),
+              registered.scenarios[i].trace.get());
   }
 
   // The whole report — every record, survivor and Pareto index — must be
   // byte-identical between the two construction paths.
   Exploration built_session(built);
-  Exploration legacy_session(legacy);
+  Exploration registered_session(registered);
   const core::ExplorationReport& a = built_session.run();
-  const core::ExplorationReport& b = legacy_session.run();
+  const core::ExplorationReport& b = registered_session.run();
   EXPECT_EQ(a.serialized_records(), b.serialized_records());
   EXPECT_EQ(a.survivors, b.survivors);
   EXPECT_EQ(a.pareto_optimal, b.pareto_optimal);

@@ -83,6 +83,23 @@ run_cli(FALSE bad_cap_out explore --app url --scale 0.05 --survivor-cap 0.2x)
 if(NOT bad_cap_out MATCHES "expects a number")
   message(FATAL_ERROR "bad --survivor-cap not reported:\n${bad_cap_out}")
 endif()
+# Out-of-range values fail before any work, with the serve daemon's own
+# bounds: --scale in (0, 100], --survivor-cap in [0, 1], both finite.
+foreach(value nan inf -3 101)
+  run_cli(FALSE range_scale_out explore --app url --scale ${value})
+  if(NOT range_scale_out MATCHES "scale must be finite and in \\(0, 100\\]")
+    message(FATAL_ERROR
+        "out-of-range --scale ${value} not reported:\n${range_scale_out}")
+  endif()
+endforeach()
+foreach(value nan -1 5)
+  run_cli(FALSE range_cap_out
+          explore --app url --scale 0.05 --survivor-cap ${value})
+  if(NOT range_cap_out MATCHES "survivor-cap must be in \\[0, 1\\]")
+    message(FATAL_ERROR
+        "out-of-range --survivor-cap ${value} not reported:\n${range_cap_out}")
+  endif()
+endforeach()
 run_cli(FALSE bad_jobs_out explore --app url --scale 0.05 --jobs -1)
 if(NOT bad_jobs_out MATCHES "expects a non-negative integer")
   message(FATAL_ERROR "bad --jobs not reported:\n${bad_jobs_out}")
@@ -231,8 +248,8 @@ if(NOT cache_badop_out MATCHES "unknown cache operation")
       "unknown cache op not reported:\n${cache_badop_out}")
 endif()
 
-# 10. `ddtr cache gc` prunes stale segments and markers — never the main
-#     file — and validates --max-age-s.
+# 10. `ddtr cache gc` prunes stale segments — never the main file — and
+#     validates --max-age-s.
 set(GC_DIR "${WORK_DIR}/gc_cache")
 file(REMOVE_RECURSE "${GC_DIR}")
 # Shard first (writes a segment into the empty dir), then a plain run
@@ -273,21 +290,16 @@ if(NOT gc_no_age_out MATCHES "missing required flag")
   message(FATAL_ERROR "missing --max-age-s not reported:\n${gc_no_age_out}")
 endif()
 
-# 11. `ddtr cache stats` reports the barrier-marker inventory.
-run_cli(TRUE stats_markers_out cache stats ${GC_DIR})
-if(NOT stats_markers_out MATCHES "barrier marker")
+# 11. `ddtr cache stats` reports the workload and cost-model inventory.
+run_cli(TRUE stats_inventory_out cache stats ${GC_DIR})
+if(NOT stats_inventory_out MATCHES "URL" OR
+   NOT stats_inventory_out MATCHES "model fingerprint")
   message(FATAL_ERROR
-      "cache stats lacks the marker inventory:\n${stats_markers_out}")
+      "cache stats lacks the inventory:\n${stats_inventory_out}")
 endif()
 
 # 12. Serve-daemon flag contract, daemonless: bounded numeric knobs and
 #     required --socket values must fail fast, before any connect.
-run_cli(FALSE bad_timeout_out
-        explore --app url --scale 0.05 --barrier-timeout 0)
-if(NOT bad_timeout_out MATCHES "barrier-timeout expects seconds")
-  message(FATAL_ERROR
-      "out-of-range --barrier-timeout not reported:\n${bad_timeout_out}")
-endif()
 run_cli(FALSE bad_every_out
         submit --socket ${WORK_DIR}/nope.sock --app url --every inf)
 if(NOT bad_every_out MATCHES "every expects seconds")
