@@ -14,9 +14,10 @@
 namespace ddtr::apps {
 
 // Packs the tuple into two words and finalizes with mix64 — a handful of
-// instructions instead of a byte-wise FNV loop, because the traversal
-// find_key of the scan-based kinds recomputes the stored-record key for
-// every record visited (this is the simulation hot path).
+// instructions instead of a byte-wise FNV loop. The packet side derives
+// it once per packet; the stored-record side once per container mutation,
+// after which the container keeps the key beside the record and lookups
+// compare the cached keys.
 inline std::uint64_t five_tuple_key(std::uint32_t src_ip,
                                     std::uint32_t dst_ip,
                                     std::uint16_t src_port,

@@ -207,6 +207,10 @@ ExplorationEngine::FanOutcome ExplorationEngine::fan_simulations(
           obs::registry().histogram("explore.sim_us");
       obs::SpanScope span(options_.trace_sink, "sim",
                           step == 1 ? "step1" : "step2");
+      if (options_.trace_sink != nullptr) {
+        // Names the unit, so the slowest simulation can be found.
+        span.arg("combo", combo.label()).arg("scenario", scenario.label());
+      }
       const std::uint64_t t0 = obs::now_us();
       slots[i] = cache ? cache->get_or_simulate(scenario, combo, model_)
                        : simulate(scenario, combo, model_);

@@ -24,14 +24,41 @@ class ArrayContainer final : public Container<T> {
   DdtKind kind() const noexcept override { return DdtKind::kArray; }
   std::size_t size() const noexcept override { return data_.size(); }
 
-  void push_back(const T& value) override {
+  T get(std::size_t index) const override {
+    assert(index < data_.size());
+    this->count_read(sizeof(T));
+    this->count_touch();
+    return data_[index];
+  }
+
+  void for_each(typename Container<T>::Visitor visitor) const override {
+    for (std::size_t i = 0; i < data_.size(); ++i) {
+      this->count_read(sizeof(T));
+      this->count_touch();
+      if (!visitor(i, data_[i])) break;
+    }
+  }
+
+  // The scan up to the match: per visited record a read, a touch and a
+  // key derivation.
+  std::size_t find_key(std::uint64_t key) const override {
+    const std::size_t p = this->first_key_match(key);
+    const std::size_t n = p == npos ? data_.size() : p + 1;
+    this->count_read(sizeof(T), n);
+    this->profile().record_cpu_ops((2 * kTouchCpuOps + kKeyHashCpuOps) *
+                                   n);
+    return p;
+  }
+
+ private:
+  void do_push_back(const T& value) override {
     reserve_for_one_more();
     data_.push_back(value);
     this->count_write(sizeof(T));
     this->count_touch();
   }
 
-  void insert(std::size_t index, const T& value) override {
+  void do_insert(std::size_t index, const T& value) override {
     assert(index <= data_.size());
     reserve_for_one_more();
     // Shifting the tail: each moved record is one read plus one write,
@@ -43,21 +70,14 @@ class ArrayContainer final : public Container<T> {
     this->count_moves(moved);
   }
 
-  T get(std::size_t index) const override {
-    assert(index < data_.size());
-    this->count_read(sizeof(T));
-    this->count_touch();
-    return data_[index];
-  }
-
-  void set(std::size_t index, const T& value) override {
+  void do_set(std::size_t index, const T& value, bool) override {
     assert(index < data_.size());
     data_[index] = value;
     this->count_write(sizeof(T));
     this->count_touch();
   }
 
-  void erase(std::size_t index) override {
+  void do_erase(std::size_t index) override {
     assert(index < data_.size());
     const std::size_t moved = data_.size() - index - 1;
     data_.erase(data_.begin() + static_cast<std::ptrdiff_t>(index));
@@ -66,22 +86,13 @@ class ArrayContainer final : public Container<T> {
     this->count_moves(moved);
   }
 
-  void clear() override {
+  void do_clear() override {
     release();
     data_.clear();
     data_.shrink_to_fit();
     reserved_ = 0;
   }
 
-  void for_each(typename Container<T>::Visitor visitor) const override {
-    for (std::size_t i = 0; i < data_.size(); ++i) {
-      this->count_read(sizeof(T));
-      this->count_touch();
-      if (!visitor(i, data_[i])) break;
-    }
-  }
-
- private:
   void reserve_for_one_more() {
     if (data_.size() < reserved_) return;
     const std::size_t new_capacity = reserved_ == 0 ? 4 : reserved_ * 2;

@@ -27,55 +27,12 @@ class ArrayOfPointersContainer final : public Container<T> {
   DdtKind kind() const noexcept override { return DdtKind::kArrayOfPointers; }
   std::size_t size() const noexcept override { return slots_.size(); }
 
-  void push_back(const T& value) override {
-    reserve_for_one_more();
-    slots_.push_back(make_record(value));
-    this->count_write(kPointerBytes);  // store the pointer
-    this->count_touch();
-  }
-
-  void insert(std::size_t index, const T& value) override {
-    assert(index <= slots_.size());
-    reserve_for_one_more();
-    const std::size_t moved = slots_.size() - index;
-    slots_.insert(slots_.begin() + static_cast<std::ptrdiff_t>(index),
-                  make_record(value));
-    this->count_read(kPointerBytes, moved);
-    this->count_write(kPointerBytes, moved + 1);
-    this->count_moves(moved);
-  }
-
   T get(std::size_t index) const override {
     assert(index < slots_.size());
     this->count_read(kPointerBytes);
     this->count_read(sizeof(T));
     this->count_hops(1);  // indirection through the slot pointer
     return *slots_[index];
-  }
-
-  void set(std::size_t index, const T& value) override {
-    assert(index < slots_.size());
-    this->count_read(kPointerBytes);
-    *slots_[index] = value;
-    this->count_write(sizeof(T));
-    this->count_hops(1);
-  }
-
-  void erase(std::size_t index) override {
-    assert(index < slots_.size());
-    this->count_free(sizeof(T));
-    const std::size_t moved = slots_.size() - index - 1;
-    slots_.erase(slots_.begin() + static_cast<std::ptrdiff_t>(index));
-    this->count_read(kPointerBytes, moved);
-    this->count_write(kPointerBytes, moved);
-    this->count_moves(moved);
-  }
-
-  void clear() override {
-    release_all();
-    slots_.clear();
-    slots_.shrink_to_fit();
-    reserved_ = 0;
   }
 
   void for_each(typename Container<T>::Visitor visitor) const override {
@@ -87,7 +44,62 @@ class ArrayOfPointersContainer final : public Container<T> {
     }
   }
 
+  // The scan up to the match: per visited record a slot read, a record
+  // read through it, a hop and a key derivation.
+  std::size_t find_key(std::uint64_t key) const override {
+    const std::size_t p = this->first_key_match(key);
+    const std::size_t n = p == npos ? slots_.size() : p + 1;
+    this->count_read(kPointerBytes, n);
+    this->count_read(sizeof(T), n);
+    this->profile().record_cpu_ops(
+        (kHopCpuOps + kKeyHashCpuOps + kTouchCpuOps) * n);
+    return p;
+  }
+
  private:
+  void do_push_back(const T& value) override {
+    reserve_for_one_more();
+    slots_.push_back(make_record(value));
+    this->count_write(kPointerBytes);  // store the pointer
+    this->count_touch();
+  }
+
+  void do_insert(std::size_t index, const T& value) override {
+    assert(index <= slots_.size());
+    reserve_for_one_more();
+    const std::size_t moved = slots_.size() - index;
+    slots_.insert(slots_.begin() + static_cast<std::ptrdiff_t>(index),
+                  make_record(value));
+    this->count_read(kPointerBytes, moved);
+    this->count_write(kPointerBytes, moved + 1);
+    this->count_moves(moved);
+  }
+
+  void do_set(std::size_t index, const T& value, bool) override {
+    assert(index < slots_.size());
+    this->count_read(kPointerBytes);
+    *slots_[index] = value;
+    this->count_write(sizeof(T));
+    this->count_hops(1);
+  }
+
+  void do_erase(std::size_t index) override {
+    assert(index < slots_.size());
+    this->count_free(sizeof(T));
+    const std::size_t moved = slots_.size() - index - 1;
+    slots_.erase(slots_.begin() + static_cast<std::ptrdiff_t>(index));
+    this->count_read(kPointerBytes, moved);
+    this->count_write(kPointerBytes, moved);
+    this->count_moves(moved);
+  }
+
+  void do_clear() override {
+    release_all();
+    slots_.clear();
+    slots_.shrink_to_fit();
+    reserved_ = 0;
+  }
+
   std::unique_ptr<T> make_record(const T& value) {
     this->count_alloc(sizeof(T));
     this->count_write(sizeof(T));

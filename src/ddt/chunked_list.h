@@ -47,7 +47,64 @@ class ChunkedListContainer final : public Container<T> {
 
   std::size_t size() const noexcept override { return size_; }
 
-  void push_back(const T& value) override {
+  T get(std::size_t index) const override {
+    assert(index < size_);
+    const Pos pos = locate(index);
+    this->count_read(sizeof(T));
+    this->count_touch();
+    return pos.node->values[pos.offset];
+  }
+
+  const support::PoolStats& pool_stats() const noexcept {
+    return pool_.stats();
+  }
+
+  void for_each(typename Container<T>::Visitor visitor) const override {
+    this->count_read(kPointerBytes);  // head pointer
+    Node* node = head_;
+    std::size_t base = 0;
+    while (node != nullptr) {
+      this->count_read(kHeaderBytes);
+      this->count_hops(1);
+      update_roving(node, base);
+      for (std::size_t i = 0; i < node->count; ++i) {
+        this->count_read(sizeof(T));
+        this->count_touch();
+        if (!visitor(base + i, node->values[i])) return;
+      }
+      base += node->count;
+      this->count_read(kPointerBytes);
+      node = node->next;
+    }
+  }
+
+  // The chunk walk up to the match: the head pointer, a header read and a
+  // hop per chunk entered, a next pointer read per chunk passed, and per
+  // visited record a read, a touch and a key derivation. The roving cache
+  // lands on the last chunk entered, as for_each leaves it.
+  std::size_t find_key(std::uint64_t key) const override {
+    const std::size_t p = this->first_key_match(key);
+    const std::size_t n = p == npos ? size_ : p + 1;
+    std::size_t entered = 0;
+    std::size_t passed = 0;
+    std::size_t base = 0;
+    for (Node* node = head_; node != nullptr; node = node->next) {
+      ++entered;
+      update_roving(node, base);
+      base += node->count;
+      if (p < base) break;
+      ++passed;
+    }
+    this->count_read(kPointerBytes, 1 + passed);
+    this->count_read(kHeaderBytes, entered);
+    this->count_read(sizeof(T), n);
+    this->profile().record_cpu_ops(
+        kHopCpuOps * entered + (2 * kTouchCpuOps + kKeyHashCpuOps) * n);
+    return p;
+  }
+
+ private:
+  void do_push_back(const T& value) override {
     this->count_read(kPointerBytes);  // tail pointer
     this->count_hops(1);
     if (tail_ == nullptr || chunk_full(tail_)) {
@@ -63,10 +120,10 @@ class ChunkedListContainer final : public Container<T> {
     // Indices of existing records are unchanged: roving cache survives.
   }
 
-  void insert(std::size_t index, const T& value) override {
+  void do_insert(std::size_t index, const T& value) override {
     assert(index <= size_);
     if (index == size_) {
-      push_back(value);
+      do_push_back(value);
       return;
     }
     Pos pos = locate(index);
@@ -96,15 +153,7 @@ class ChunkedListContainer final : public Container<T> {
     invalidate_roving();
   }
 
-  T get(std::size_t index) const override {
-    assert(index < size_);
-    const Pos pos = locate(index);
-    this->count_read(sizeof(T));
-    this->count_touch();
-    return pos.node->values[pos.offset];
-  }
-
-  void set(std::size_t index, const T& value) override {
+  void do_set(std::size_t index, const T& value, bool) override {
     assert(index < size_);
     const Pos pos = locate(index);
     pos.node->values[pos.offset] = value;
@@ -112,7 +161,7 @@ class ChunkedListContainer final : public Container<T> {
     this->count_touch();
   }
 
-  void erase(std::size_t index) override {
+  void do_erase(std::size_t index) override {
     assert(index < size_);
     Pos pos = locate(index);
     Node* node = pos.node;
@@ -130,7 +179,7 @@ class ChunkedListContainer final : public Container<T> {
     invalidate_roving();
   }
 
-  void clear() override {
+  void do_clear() override {
     destroy_all();
     pool_.release();
     head_ = tail_ = nullptr;
@@ -138,30 +187,6 @@ class ChunkedListContainer final : public Container<T> {
     invalidate_roving();
   }
 
-  const support::PoolStats& pool_stats() const noexcept {
-    return pool_.stats();
-  }
-
-  void for_each(typename Container<T>::Visitor visitor) const override {
-    this->count_read(kPointerBytes);  // head pointer
-    Node* node = head_;
-    std::size_t base = 0;
-    while (node != nullptr) {
-      this->count_read(kHeaderBytes);
-      this->count_hops(1);
-      update_roving(node, base);
-      for (std::size_t i = 0; i < node->count; ++i) {
-        this->count_read(sizeof(T));
-        this->count_touch();
-        if (!visitor(base + i, node->values[i])) return;
-      }
-      base += node->count;
-      this->count_read(kPointerBytes);
-      node = node->next;
-    }
-  }
-
- private:
   static constexpr std::size_t kHeaderBytes = sizeof(std::uint32_t);
 
   struct NodeSingle {

@@ -16,9 +16,12 @@
 // 68.8% more footprint than the best combination, §4).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "ddt/kinds.h"
 #include "profiling/memory_profile.h"
@@ -65,7 +68,8 @@ class Container {
   using Visitor = support::function_ref<bool(std::size_t, const T&)>;
   // Derives the 64-bit lookup key of a record. Plain function pointer so
   // passing one through the factory stays trivially cheap; nullptr means
-  // the slot is unkeyed and find_key is unavailable.
+  // the slot is unkeyed and find_key is unavailable. Called once per
+  // mutation; the key is cached beside the records.
   using KeyFn = std::uint64_t (*)(const T&);
 
   explicit Container(prof::MemoryProfile& profile, KeyFn key = nullptr)
@@ -80,22 +84,48 @@ class Container {
   bool empty() const noexcept { return size() == 0; }
 
   // Appends a record at the end.
-  virtual void push_back(const T& value) = 0;
+  void push_back(const T& value) {
+    if (key_fn_ != nullptr) keys_.push_back(key_fn_(value));
+    do_push_back(value);
+  }
 
   // Inserts before position `index` (0 <= index <= size()).
-  virtual void insert(std::size_t index, const T& value) = 0;
+  void insert(std::size_t index, const T& value) {
+    if (key_fn_ != nullptr) {
+      keys_.insert(keys_.begin() + static_cast<std::ptrdiff_t>(index),
+                   key_fn_(value));
+    }
+    do_insert(index, value);
+  }
 
   // Reads the record at `index` (0 <= index < size()).
   virtual T get(std::size_t index) const = 0;
 
   // Overwrites the record at `index`.
-  virtual void set(std::size_t index, const T& value) = 0;
+  void set(std::size_t index, const T& value) {
+    bool rekeyed = false;
+    if (key_fn_ != nullptr) {
+      const std::uint64_t key = key_fn_(value);
+      rekeyed = key != keys_[index];
+      keys_[index] = key;
+    }
+    do_set(index, value, rekeyed);
+  }
 
   // Removes the record at `index`, shifting later records one position.
-  virtual void erase(std::size_t index) = 0;
+  void erase(std::size_t index) {
+    if (key_fn_ != nullptr) {
+      keys_.erase(keys_.begin() + static_cast<std::ptrdiff_t>(index));
+    }
+    do_erase(index);
+  }
 
   // Removes all records and releases storage.
-  virtual void clear() = 0;
+  void clear() {
+    keys_.clear();
+    keys_.shrink_to_fit();
+    do_clear();
+  }
 
   // Sequential traversal front-to-back; implementations traverse the way
   // their layout makes natural (array scan, pointer chase, chunk walk) and
@@ -103,22 +133,13 @@ class Container {
   virtual void for_each(Visitor visitor) const = 0;
 
   // Position of the first record whose key (per the slot's key function)
-  // equals `key`, or npos. The default is the layout's natural traversal,
-  // re-deriving each record's key (kKeyHashCpuOps per record); kOpenHash
-  // overrides this with a probe of its index. Requires a key function.
-  virtual std::size_t find_key(std::uint64_t key) const {
-    require_key_fn();
-    std::size_t found = npos;
-    for_each([&](std::size_t i, const T& v) {
-      profile_->record_cpu_ops(kKeyHashCpuOps + kTouchCpuOps);
-      if (key_fn_(v) == key) {
-        found = i;
-        return false;
-      }
-      return true;
-    });
-    return found;
-  }
+  // equals `key`, or npos. Requires a key function. The position comes
+  // from the cached keys (first_key_match); each layout charges what its
+  // natural traversal up to that position costs — a record read, a key
+  // derivation (kKeyHashCpuOps) and a touch per visited record, plus its
+  // hops — and moves its roving cache as that traversal would. kOpenHash
+  // probes its index instead.
+  virtual std::size_t find_key(std::uint64_t key) const = 0;
 
   // Index of the first record satisfying `pred`, or npos. Charged as the
   // traversal it performs.
@@ -169,11 +190,36 @@ class Container {
   void count_moves(std::size_t elements) const {
     profile_->record_cpu_ops(elements / kMoveElemsPerCpuOp + 1);
   }
-  std::uint64_t key_of(const T& value) const { return key_fn_(value); }
+
+  // The cached key of the record at `index` (keyed containers only).
+  std::uint64_t key_at(std::size_t index) const { return keys_[index]; }
+
+  // First position whose cached key equals `key`, or npos. Throws for an
+  // unkeyed container, like every find_key.
+  std::size_t first_key_match(std::uint64_t key) const {
+    require_key_fn();
+    const auto it = std::find(keys_.begin(), keys_.end(), key);
+    return it == keys_.end() ? npos
+                             : static_cast<std::size_t>(it - keys_.begin());
+  }
 
  private:
+  // Layout-specific mutators behind the public ones, which keep keys_ in
+  // step first. A kind that reuses one of its own mutators (insert at the
+  // end appending, say) calls the do_* hook, never the public method, so
+  // no key is cached twice. `rekeyed` tells do_set whether the new
+  // record's key differs from the one it replaces.
+  virtual void do_push_back(const T& value) = 0;
+  virtual void do_insert(std::size_t index, const T& value) = 0;
+  virtual void do_set(std::size_t index, const T& value, bool rekeyed) = 0;
+  virtual void do_erase(std::size_t index) = 0;
+  virtual void do_clear() = 0;
+
   prof::MemoryProfile* profile_;  // non-owning, never null
   KeyFn key_fn_;
+  // One key per logical position, derived once per mutation; empty for
+  // unkeyed containers.
+  std::vector<std::uint64_t> keys_;
 };
 
 }  // namespace ddtr::ddt

@@ -44,7 +44,52 @@ class ListContainer final : public Container<T> {
 
   std::size_t size() const noexcept override { return size_; }
 
-  void push_back(const T& value) override {
+  T get(std::size_t index) const override {
+    assert(index < size_);
+    Node* node = walk_to(index);
+    this->count_read(sizeof(T));
+    return node->value;
+  }
+
+  const support::PoolStats& pool_stats() const noexcept {
+    return pool_.stats();
+  }
+
+  void for_each(typename Container<T>::Visitor visitor) const override {
+    this->count_read(kPointerBytes);  // head pointer
+    Node* node = head_;
+    std::size_t index = 0;
+    while (node != nullptr) {
+      this->count_read(sizeof(T));
+      update_roving(node, index);
+      if (!visitor(index, node->value)) break;
+      this->count_read(kPointerBytes);  // node->next
+      this->count_hops(1);
+      node = node->next;
+      ++index;
+    }
+  }
+
+  // The pointer chase up to the match: the head pointer, then per visited
+  // node a record read and a key derivation, and per node passed a next
+  // pointer read and a hop. The roving cache lands on the last node
+  // visited, as for_each leaves it.
+  std::size_t find_key(std::uint64_t key) const override {
+    const std::size_t p = this->first_key_match(key);
+    const std::size_t n = p == npos ? size_ : p + 1;
+    const std::size_t passed = p == npos ? size_ : p;
+    this->count_read(kPointerBytes, 1 + passed);
+    this->count_read(sizeof(T), n);
+    this->profile().record_cpu_ops((kKeyHashCpuOps + kTouchCpuOps) * n +
+                                   kHopCpuOps * passed);
+    if constexpr (Roving) {
+      if (n != 0) update_roving(node_at(n - 1), n - 1);
+    }
+    return p;
+  }
+
+ private:
+  void do_push_back(const T& value) override {
     Node* node = new_node(value);
     this->count_read(kPointerBytes);  // tail pointer
     this->count_hops(1);
@@ -63,10 +108,10 @@ class ListContainer final : public Container<T> {
     // Appending never shifts logical indices, so the roving cache survives.
   }
 
-  void insert(std::size_t index, const T& value) override {
+  void do_insert(std::size_t index, const T& value) override {
     assert(index <= size_);
     if (index == size_) {
-      push_back(value);
+      do_push_back(value);
       return;
     }
     Node* node = new_node(value);
@@ -94,21 +139,14 @@ class ListContainer final : public Container<T> {
     invalidate_roving();
   }
 
-  T get(std::size_t index) const override {
-    assert(index < size_);
-    Node* node = walk_to(index);
-    this->count_read(sizeof(T));
-    return node->value;
-  }
-
-  void set(std::size_t index, const T& value) override {
+  void do_set(std::size_t index, const T& value, bool) override {
     assert(index < size_);
     Node* node = walk_to(index);
     node->value = value;
     this->count_write(sizeof(T));
   }
 
-  void erase(std::size_t index) override {
+  void do_erase(std::size_t index) override {
     assert(index < size_);
     Node* victim;
     if (index == 0) {
@@ -140,7 +178,7 @@ class ListContainer final : public Container<T> {
     invalidate_roving();
   }
 
-  void clear() override {
+  void do_clear() override {
     destroy_all();
     pool_.release();
     head_ = tail_ = nullptr;
@@ -148,26 +186,6 @@ class ListContainer final : public Container<T> {
     invalidate_roving();
   }
 
-  const support::PoolStats& pool_stats() const noexcept {
-    return pool_.stats();
-  }
-
-  void for_each(typename Container<T>::Visitor visitor) const override {
-    this->count_read(kPointerBytes);  // head pointer
-    Node* node = head_;
-    std::size_t index = 0;
-    while (node != nullptr) {
-      this->count_read(sizeof(T));
-      update_roving(node, index);
-      if (!visitor(index, node->value)) break;
-      this->count_read(kPointerBytes);  // node->next
-      this->count_hops(1);
-      node = node->next;
-      ++index;
-    }
-  }
-
- private:
   struct NodeSingle {
     T value;
     NodeSingle* next = nullptr;
@@ -248,6 +266,21 @@ class ListContainer final : public Container<T> {
       for (std::size_t i = start_index; i < index; ++i) node = node->next;
     }
     update_roving(node, index);
+    return node;
+  }
+
+  // The node at `index`, reached uncharged (the tail, or forward from the
+  // roving cache or the head): find_key charges its traversal from the
+  // cached keys and only needs the node to move the cache.
+  Node* node_at(std::size_t index) const {
+    if (index + 1 == size_) return tail_;
+    Node* node = head_;
+    std::size_t at = 0;
+    if (rov_node_ != nullptr && rov_index_ <= index) {
+      node = rov_node_;
+      at = rov_index_;
+    }
+    for (; at < index; ++at) node = node->next;
     return node;
   }
 

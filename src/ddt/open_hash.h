@@ -7,12 +7,13 @@
 //
 // The index is lazy and self-invalidating: structural edits that shift
 // positions (middle insert/erase) or rewrite keys just mark it dirty, and
-// the next find_key rebuilds it in one ascending pass (keeping the lowest
-// position per duplicated key, matching the scan semantics of the default
-// find_key). Appends and same-key overwrites — the hot path of the
-// connection/flow tables this kind exists for — maintain the index
-// incrementally. Unkeyed instances degrade to a plain AR and never build
-// an index (find_key throws, as for every unkeyed container).
+// the next find_key rebuilds it in one ascending pass over the cached
+// record keys (keeping the lowest position per duplicated key, the same
+// first match the linear kinds' find_key returns). Appends and same-key
+// overwrites — the hot path of the connection/flow tables this kind
+// exists for — maintain the index incrementally. Unkeyed instances
+// degrade to a plain AR and never build an index (find_key throws, as for
+// every unkeyed container).
 #pragma once
 
 #include <cassert>
@@ -43,73 +44,11 @@ class OpenHashContainer final : public Container<T> {
   DdtKind kind() const noexcept override { return DdtKind::kOpenHash; }
   std::size_t size() const noexcept override { return data_.size(); }
 
-  void push_back(const T& value) override {
-    reserve_for_one_more();
-    data_.push_back(value);
-    this->count_write(sizeof(T));
-    this->count_touch();
-    if (index_built() && !dirty_) {
-      if (data_.size() * 2 > slot_capacity()) {
-        dirty_ = true;  // over the load-factor bound: rebuild on next find
-      } else {
-        index_insert_if_absent(hash_key_of(data_.back()), data_.size() - 1);
-      }
-    }
-  }
-
-  void insert(std::size_t index, const T& value) override {
-    assert(index <= data_.size());
-    if (index == data_.size()) {
-      push_back(value);
-      return;
-    }
-    reserve_for_one_more();
-    const std::size_t moved = data_.size() - index;
-    data_.insert(data_.begin() + static_cast<std::ptrdiff_t>(index), value);
-    this->count_read(sizeof(T), moved);
-    this->count_write(sizeof(T), moved + 1);
-    this->count_moves(moved);
-    mark_dirty();  // later positions shifted
-  }
-
   T get(std::size_t index) const override {
     assert(index < data_.size());
     this->count_read(sizeof(T));
     this->count_touch();
     return data_[index];
-  }
-
-  void set(std::size_t index, const T& value) override {
-    assert(index < data_.size());
-    if (index_built() && !dirty_) {
-      // Same-key overwrites (statistics updates on a keyed record — the
-      // hot path) keep the index valid; a key rewrite invalidates it.
-      this->count_read(sizeof(T));
-      if (hash_key_of(data_[index]) != hash_key_of(value)) dirty_ = true;
-    }
-    data_[index] = value;
-    this->count_write(sizeof(T));
-    this->count_touch();
-  }
-
-  void erase(std::size_t index) override {
-    assert(index < data_.size());
-    const std::size_t moved = data_.size() - index - 1;
-    data_.erase(data_.begin() + static_cast<std::ptrdiff_t>(index));
-    this->count_read(sizeof(T), moved);
-    this->count_write(sizeof(T), moved);
-    this->count_moves(moved);
-    mark_dirty();
-  }
-
-  void clear() override {
-    release_data();
-    data_.clear();
-    data_.shrink_to_fit();
-    reserved_ = 0;
-    chunks_.clear();
-    pool_.release();
-    dirty_ = false;
   }
 
   void for_each(typename Container<T>::Visitor visitor) const override {
@@ -136,6 +75,71 @@ class OpenHashContainer final : public Container<T> {
   }
 
  private:
+  void do_push_back(const T& value) override {
+    reserve_for_one_more();
+    data_.push_back(value);
+    this->count_write(sizeof(T));
+    this->count_touch();
+    if (index_built() && !dirty_) {
+      if (data_.size() * 2 > slot_capacity()) {
+        dirty_ = true;  // over the load-factor bound: rebuild on next find
+      } else {
+        index_insert_if_absent(hash_key_at(data_.size() - 1),
+                               data_.size() - 1);
+      }
+    }
+  }
+
+  void do_insert(std::size_t index, const T& value) override {
+    assert(index <= data_.size());
+    if (index == data_.size()) {
+      do_push_back(value);
+      return;
+    }
+    reserve_for_one_more();
+    const std::size_t moved = data_.size() - index;
+    data_.insert(data_.begin() + static_cast<std::ptrdiff_t>(index), value);
+    this->count_read(sizeof(T), moved);
+    this->count_write(sizeof(T), moved + 1);
+    this->count_moves(moved);
+    mark_dirty();  // later positions shifted
+  }
+
+  void do_set(std::size_t index, const T& value, bool rekeyed) override {
+    assert(index < data_.size());
+    if (index_built() && !dirty_) {
+      // Same-key overwrites (statistics updates on a keyed record — the
+      // hot path) keep the index valid; a key rewrite invalidates it.
+      // Comparing the old and the new key charges a derivation each.
+      this->count_read(sizeof(T));
+      this->profile().record_cpu_ops(2 * kKeyHashCpuOps);
+      if (rekeyed) dirty_ = true;
+    }
+    data_[index] = value;
+    this->count_write(sizeof(T));
+    this->count_touch();
+  }
+
+  void do_erase(std::size_t index) override {
+    assert(index < data_.size());
+    const std::size_t moved = data_.size() - index - 1;
+    data_.erase(data_.begin() + static_cast<std::ptrdiff_t>(index));
+    this->count_read(sizeof(T), moved);
+    this->count_write(sizeof(T), moved);
+    this->count_moves(moved);
+    mark_dirty();
+  }
+
+  void do_clear() override {
+    release_data();
+    data_.clear();
+    data_.shrink_to_fit();
+    reserved_ = 0;
+    chunks_.clear();
+    pool_.release();
+    dirty_ = false;
+  }
+
   static constexpr std::uint32_t kEmpty = 0;
   static constexpr std::uint32_t kFull = 1;
   static constexpr std::size_t kSlotsPerChunk = 64;
@@ -161,9 +165,10 @@ class OpenHashContainer final : public Container<T> {
     if (index_built()) dirty_ = true;
   }
 
-  std::uint64_t hash_key_of(const T& value) const {
+  // The cached key of record `index`, charged as a key derivation.
+  std::uint64_t hash_key_at(std::size_t index) const {
     this->profile().record_cpu_ops(kKeyHashCpuOps);
-    return this->key_of(value);
+    return this->key_at(index);
   }
 
   Slot& slot_at(std::size_t idx) const {
@@ -216,7 +221,7 @@ class OpenHashContainer final : public Container<T> {
     }
     for (std::size_t i = 0; i < data_.size(); ++i) {
       this->count_read(sizeof(T));
-      index_insert_if_absent(hash_key_of(data_[i]), i);
+      index_insert_if_absent(hash_key_at(i), i);
     }
     dirty_ = false;
   }

@@ -48,7 +48,65 @@ class UnrolledScanContainer final : public Container<T> {
   DdtKind kind() const noexcept override { return DdtKind::kUnrolledScan; }
   std::size_t size() const noexcept override { return size_; }
 
-  void push_back(const T& value) override {
+  T get(std::size_t index) const override {
+    assert(index < size_);
+    const Pos pos = locate(index);
+    this->count_read(sizeof(T));
+    this->count_touch();
+    return pos.node->values[pos.offset];
+  }
+
+  // Line-granular traversal: one payload-wide read per chunk, one touch
+  // per visited record.
+  void for_each(typename Container<T>::Visitor visitor) const override {
+    this->count_read(kPointerBytes);  // head pointer
+    const Node* node = head_;
+    std::size_t base = 0;
+    while (node != nullptr) {
+      this->count_read(kHeaderBytes);
+      this->count_read(node->count * sizeof(T));  // whole line at once
+      this->count_hops(1);
+      for (std::size_t i = 0; i < node->count; ++i) {
+        this->count_touch();
+        if (!visitor(base + i, node->values[i])) return;
+      }
+      base += node->count;
+      this->count_read(kPointerBytes);
+      node = node->next;
+    }
+  }
+
+  // Vectorizable membership scan: per chunk one line read plus streaming
+  // key compares (no per-record serial dependency), early exit on match.
+  // The match comes from the cached keys; the walk only sums the charges
+  // of the chunks the scan enters.
+  std::size_t find_key(std::uint64_t key) const override {
+    const std::size_t p = this->first_key_match(key);
+    std::size_t entered = 0;
+    std::size_t passed = 0;
+    std::uint64_t ops = 0;
+    std::size_t base = 0;
+    for (const Node* node = head_; node != nullptr; node = node->next) {
+      ++entered;
+      this->count_read(node->count * sizeof(T));  // whole line at once
+      ops += kKeyHashCpuOps + node->count / kMoveElemsPerCpuOp + 1;
+      base += node->count;
+      if (p < base) break;
+      ++passed;
+    }
+    this->count_read(kPointerBytes, 1 + passed);
+    this->count_read(kHeaderBytes, entered);
+    this->count_hops(entered);
+    this->profile().record_cpu_ops(ops);
+    return p;
+  }
+
+  const support::PoolStats& pool_stats() const noexcept {
+    return pool_.stats();
+  }
+
+ private:
+  void do_push_back(const T& value) override {
     this->count_read(kPointerBytes);  // tail pointer
     this->count_hops(1);
     if (tail_ == nullptr || tail_->count == kCapacity) append_chunk();
@@ -61,10 +119,10 @@ class UnrolledScanContainer final : public Container<T> {
     ++size_;
   }
 
-  void insert(std::size_t index, const T& value) override {
+  void do_insert(std::size_t index, const T& value) override {
     assert(index <= size_);
     if (index == size_) {
-      push_back(value);
+      do_push_back(value);
       return;
     }
     Pos pos = locate(index);
@@ -92,15 +150,7 @@ class UnrolledScanContainer final : public Container<T> {
     ++size_;
   }
 
-  T get(std::size_t index) const override {
-    assert(index < size_);
-    const Pos pos = locate(index);
-    this->count_read(sizeof(T));
-    this->count_touch();
-    return pos.node->values[pos.offset];
-  }
-
-  void set(std::size_t index, const T& value) override {
+  void do_set(std::size_t index, const T& value, bool) override {
     assert(index < size_);
     const Pos pos = locate(index);
     pos.node->values[pos.offset] = value;
@@ -108,7 +158,7 @@ class UnrolledScanContainer final : public Container<T> {
     this->count_touch();
   }
 
-  void erase(std::size_t index) override {
+  void do_erase(std::size_t index) override {
     assert(index < size_);
     Pos pos = locate(index);
     Node* node = pos.node;
@@ -125,61 +175,13 @@ class UnrolledScanContainer final : public Container<T> {
     if (node->count == 0) unlink_chunk(node, pos.prev);
   }
 
-  void clear() override {
+  void do_clear() override {
     destroy_all();
     pool_.release();
     head_ = tail_ = nullptr;
     size_ = 0;
   }
 
-  // Line-granular traversal: one payload-wide read per chunk, one touch
-  // per visited record.
-  void for_each(typename Container<T>::Visitor visitor) const override {
-    this->count_read(kPointerBytes);  // head pointer
-    const Node* node = head_;
-    std::size_t base = 0;
-    while (node != nullptr) {
-      this->count_read(kHeaderBytes);
-      this->count_read(node->count * sizeof(T));  // whole line at once
-      this->count_hops(1);
-      for (std::size_t i = 0; i < node->count; ++i) {
-        this->count_touch();
-        if (!visitor(base + i, node->values[i])) return;
-      }
-      base += node->count;
-      this->count_read(kPointerBytes);
-      node = node->next;
-    }
-  }
-
-  // Vectorizable membership scan: per chunk one line read plus streaming
-  // key compares (no per-record serial dependency), early exit on match.
-  std::size_t find_key(std::uint64_t key) const override {
-    this->require_key_fn();
-    this->count_read(kPointerBytes);  // head pointer
-    const Node* node = head_;
-    std::size_t base = 0;
-    while (node != nullptr) {
-      this->count_read(kHeaderBytes);
-      this->count_read(node->count * sizeof(T));
-      this->count_hops(1);
-      this->profile().record_cpu_ops(
-          kKeyHashCpuOps + node->count / kMoveElemsPerCpuOp + 1);
-      for (std::size_t i = 0; i < node->count; ++i) {
-        if (this->key_of(node->values[i]) == key) return base + i;
-      }
-      base += node->count;
-      this->count_read(kPointerBytes);
-      node = node->next;
-    }
-    return npos;
-  }
-
-  const support::PoolStats& pool_stats() const noexcept {
-    return pool_.stats();
-  }
-
- private:
   static constexpr std::size_t kCapacity = kUnrolledScanCapacity<T>;
   static constexpr std::size_t kHeaderBytes = sizeof(std::uint16_t);
 

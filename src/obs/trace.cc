@@ -504,6 +504,17 @@ std::string check_trace(const std::string& json) {
         }
       }
     }
+    // A simulation span must name its unit on the end event.
+    if (ph->str == "E" && name->str == "sim") {
+      const JsonValue* args = event.find("args");
+      for (const char* key : {"combo", "scenario"}) {
+        const JsonValue* value = args != nullptr ? args->find(key) : nullptr;
+        if (value == nullptr || value->kind != JsonValue::Kind::kString) {
+          return "event " + std::to_string(i) + " ends span \"sim\" "
+                 "without a string arg \"" + key + "\"";
+        }
+      }
+    }
     const auto lane = std::make_pair(pid->number, tid->number);
     if (ph->str == "B") {
       open[lane].push_back(name->str);

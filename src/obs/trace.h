@@ -144,9 +144,10 @@ class SpanScope {
 // Validates `json` as a Chrome trace_event document: strict JSON, a
 // top-level object with a "traceEvents" array, every event carrying
 // name/cat/ph/ts/pid/tid (plus, when present, an "args" object whose
-// values are strings or numbers), and per-(pid,tid) begin/end spans
-// balanced in LIFO order. Returns "" on success, else a one-line
-// diagnostic.
+// values are strings or numbers), per-(pid,tid) begin/end spans
+// balanced in LIFO order, and every "sim" span's end event naming its
+// unit with string args "combo" and "scenario". Returns "" on success,
+// else a one-line diagnostic.
 std::string check_trace(const std::string& json);
 
 }  // namespace ddtr::obs

@@ -113,6 +113,28 @@ if(NOT bad_offset_out MATCHES "expects a non-negative integer")
   message(FATAL_ERROR "bad --seed-offset not reported:\n${bad_offset_out}")
 endif()
 
+# 5b. A flag the subcommand does not declare (a typo) is a usage error
+#     with exit status 2, before any work — never silently ignored.
+foreach(case
+        "explore;--app;url;--scael;0.05;--jbos;2|--scael"
+        "submit;--socket;${WORK_DIR}/none.sock;--app;url;--scael;0.05|--scael"
+        "tracegen;--preset;nlanr-campus;--pakets;10|--pakets")
+  string(REPLACE "|" ";" parts "${case}")
+  list(GET parts -1 bad_flag)
+  list(REMOVE_AT parts -1)
+  execute_process(
+      COMMAND ${DDTR_CLI} ${parts}
+      RESULT_VARIABLE unknown_result
+      OUTPUT_VARIABLE unknown_out
+      ERROR_VARIABLE unknown_err)
+  if(NOT unknown_result EQUAL 2 OR
+     NOT unknown_err MATCHES "error: unknown flag ${bad_flag}")
+    message(FATAL_ERROR
+        "ddtr ${parts}: expected 'unknown flag ${bad_flag}' and exit 2, "
+        "got exit ${unknown_result}:\n${unknown_out}\n${unknown_err}")
+  endif()
+endforeach()
+
 # 6. Persistent simulation cache: a warm rerun executes ZERO simulations
 #    and writes a byte-identical result log.
 set(CACHE_DIR "${WORK_DIR}/sim_cache")

@@ -3,6 +3,7 @@
 // equivalence, and roving-cache stress under structural churn.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -136,16 +137,62 @@ std::uint64_t rec_key(const Rec& r) { return r.key; }
 
 class KeyedDdtSweepTest : public ::testing::TestWithParam<ddt::DdtKind> {};
 
+// The keyed scan every linear kind's find_key must cost the same as: the
+// layout's natural traversal, re-deriving each visited record's key and
+// charging kKeyHashCpuOps + kTouchCpuOps for it. The kinds find the
+// position from their cached keys and charge the traversal in one batch;
+// this walk is the reference their counters are held to.
+std::size_t reference_find_key(const ddt::Container<Rec>& c,
+                               std::uint64_t key) {
+  std::size_t found = ddt::npos;
+  c.for_each([&](std::size_t i, const Rec& r) {
+    c.profile().record_cpu_ops(ddt::kKeyHashCpuOps + ddt::kTouchCpuOps);
+    if (rec_key(r) == key) {
+      found = i;
+      return false;
+    }
+    return true;
+  });
+  return found;
+}
+
+bool scans_linearly(ddt::DdtKind kind) {
+  return kind != ddt::DdtKind::kOpenHash &&
+         kind != ddt::DdtKind::kUnrolledScan;
+}
+
+void expect_same_counters(const prof::ProfileCounters& got,
+                          const prof::ProfileCounters& want, int step) {
+  EXPECT_EQ(got.reads, want.reads) << "step " << step;
+  EXPECT_EQ(got.writes, want.writes) << "step " << step;
+  EXPECT_EQ(got.bytes_read, want.bytes_read) << "step " << step;
+  EXPECT_EQ(got.bytes_written, want.bytes_written) << "step " << step;
+  EXPECT_EQ(got.allocations, want.allocations) << "step " << step;
+  EXPECT_EQ(got.deallocations, want.deallocations) << "step " << step;
+  EXPECT_EQ(got.live_bytes, want.live_bytes) << "step " << step;
+  EXPECT_EQ(got.peak_bytes, want.peak_bytes) << "step " << step;
+  EXPECT_EQ(got.cpu_ops, want.cpu_ops) << "step " << step;
+}
+
 // Every kind, constructed with a key function, must honor the full keyed
 // Container contract — with ArrayContainer as the oracle. This is what
 // legalizes HASH and UNR in the exploration lattice: different layout and
-// cost, identical observable behaviour.
+// cost, identical observable behaviour. For the linearly scanning kinds a
+// twin of the same kind takes the same mutations but looks keys up
+// through reference_find_key; both must charge identical counters after
+// every operation, including the get after each lookup (which costs what
+// it does because of where the lookup left the roving cache).
 TEST_P(KeyedDdtSweepTest, ContractMatchesArrayOracle) {
   prof::MemoryProfile profile;
   prof::MemoryProfile oracle_profile;
+  prof::MemoryProfile twin_profile;
   auto c = ddt::make_container<Rec>(GetParam(), profile, &rec_key);
   auto oracle = ddt::make_container<Rec>(ddt::DdtKind::kArray,
                                          oracle_profile, &rec_key);
+  std::unique_ptr<ddt::Container<Rec>> twin;
+  if (scans_linearly(GetParam())) {
+    twin = ddt::make_container<Rec>(GetParam(), twin_profile, &rec_key);
+  }
   support::Rng rng(4242);
   for (int step = 0; step < 1200; ++step) {
     const auto v = static_cast<std::uint64_t>(step);
@@ -154,28 +201,45 @@ TEST_P(KeyedDdtSweepTest, ContractMatchesArrayOracle) {
       const Rec r{rng.next_u64() % 200, v};
       c->push_back(r);
       oracle->push_back(r);
+      if (twin) twin->push_back(r);
     } else if (roll < 0.52) {
       const std::size_t i = rng.uniform(0, c->size());
       const Rec r{rng.next_u64() % 200, v};
       c->insert(i, r);
       oracle->insert(i, r);
+      if (twin) twin->insert(i, r);
     } else if (roll < 0.62) {
       const std::size_t i = rng.uniform(0, c->size() - 1);
       const Rec r{rng.next_u64() % 200, 9000 + v};
       c->set(i, r);
       oracle->set(i, r);
+      if (twin) twin->set(i, r);
     } else if (roll < 0.72) {
       const std::size_t i = rng.uniform(0, c->size() - 1);
       c->erase(i);
       oracle->erase(i);
+      if (twin) twin->erase(i);
     } else if (roll < 0.90) {
       // Keyed search parity, including first-match semantics on
       // duplicate keys and npos on misses.
       const std::uint64_t key = rng.next_u64() % 250;
-      EXPECT_EQ(c->find_key(key), oracle->find_key(key)) << "key " << key;
+      const std::size_t found = c->find_key(key);
+      EXPECT_EQ(found, oracle->find_key(key)) << "key " << key;
+      if (twin) {
+        EXPECT_EQ(reference_find_key(*twin, key), found) << "key " << key;
+        expect_same_counters(profile.counters(), twin_profile.counters(),
+                             step);
+        const std::size_t i = static_cast<std::size_t>(key) % c->size();
+        EXPECT_EQ(c->get(i), twin->get(i)) << "index " << i;
+      }
     } else {
       const std::size_t i = rng.uniform(0, c->size() - 1);
       EXPECT_EQ(c->get(i), oracle->get(i)) << "index " << i;
+      if (twin) twin->get(i);
+    }
+    if (twin) {
+      expect_same_counters(profile.counters(), twin_profile.counters(),
+                           step);
     }
   }
   ASSERT_EQ(c->size(), oracle->size());

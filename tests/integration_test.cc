@@ -4,7 +4,10 @@
 // the refined DDTs beating the original all-SLL NetBench implementation.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "api/ddtr.h"
+#include "support/fnv_hash.h"
 
 namespace ddtr::core {
 namespace {
@@ -130,6 +133,39 @@ TEST_F(IntegrationTest, Step2RecordsCoverAllScenarios) {
     }
     EXPECT_EQ(labels.size(), expected_scenarios[i])
         << reports()[i].app_name;
+  }
+}
+
+// Pinned reports: the FNV-1a digest and byte length of each built-in
+// workload's serialized_records() at scale 0.1, one lane. A change meant
+// to make simulations cheaper (DDT layouts, the engine, the cache) must
+// leave these bytes alone. The constants were taken from the code before
+// the DDT key cache; never regenerate them to make a failing change pass.
+TEST(ReportGolden, SerializedRecordsMatchPinnedDigests) {
+  struct Golden {
+    const char* app;
+    const char* digest;
+    std::size_t bytes;
+  };
+  const Golden goldens[] = {
+      {"route", "ddceb5f96cfbd012", 25940},
+      {"url", "9f1a30b4e75a05a6", 17492},
+      {"ipchains", "8a06dc26216b29d7", 41010},
+      {"drr", "8b64881a4f43d7d8", 21474},
+  };
+  for (const Golden& golden : goldens) {
+    api::Exploration session(api::registry().make_study(
+        golden.app, CaseStudyOptions{}.scaled(0.1)));
+    session.jobs(1);
+    const std::string records = session.run().serialized_records();
+    char digest[17];
+    std::snprintf(digest, sizeof digest, "%016llx",
+                  static_cast<unsigned long long>(
+                      support::Fnv1a64()
+                          .bytes(records.data(), records.size())
+                          .digest()));
+    EXPECT_EQ(std::string(digest), golden.digest) << golden.app;
+    EXPECT_EQ(records.size(), golden.bytes) << golden.app;
   }
 }
 

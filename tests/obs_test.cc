@@ -138,6 +138,24 @@ TEST(Trace, CheckTraceRejectsBadArgs) {
             "");
 }
 
+TEST(Trace, CheckTraceRequiresLabelledSimSpans) {
+  const auto sim_trace = [](TraceArgs args) {
+    TraceWriter w;
+    w.begin("sim", "step1");
+    w.end("sim", "step1", std::move(args));
+    return check_trace(w.str());
+  };
+  EXPECT_EQ(sim_trace(TraceArgs{}.set("combo", "AR+SLL").set("scenario", "n")),
+            "");
+  EXPECT_NE(sim_trace(TraceArgs{}), "");
+  EXPECT_NE(sim_trace(TraceArgs{}.set("combo", "AR+SLL")), "");
+  EXPECT_NE(sim_trace(TraceArgs{}.set("scenario", "n")), "");
+  EXPECT_NE(sim_trace(TraceArgs{}
+                          .set("combo", std::uint64_t{1})
+                          .set("scenario", "n")),
+            "");
+}
+
 TEST(Trace, CheckTraceRejectsMalformedDocuments) {
   EXPECT_NE(check_trace(""), "");
   EXPECT_NE(check_trace("not json"), "");
@@ -182,8 +200,11 @@ TEST(Trace, ParallelExplorationTraceIsValidAndOutputInvariant) {
             2 * cold_report.executed_simulations());
   EXPECT_EQ(check_trace(cold_trace.str()), "") << "cold trace invalid";
   // The engine's spans carry their unit counts (step fans, select,
-  // aggregate) as per-span args.
+  // aggregate) as per-span args, and each simulation span names its unit.
   EXPECT_NE(cold_trace.str().find("\"args\":{"), std::string::npos);
+  EXPECT_NE(cold_trace.str().find("\"args\":{\"combo\":\"AR+AR\","
+                                  "\"scenario\":\""),
+            std::string::npos);
 
   TraceWriter warm_trace;
   api::Exploration warm(api::registry().make_study("url", tiny_options()));

@@ -50,6 +50,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -175,7 +176,8 @@ int usage() {
       "  ddtr shutdown --socket PATH\n"
       "  ddtr tracecheck FILE\n"
       "    validate a --trace file: well-formed Chrome trace_event JSON\n"
-      "    with balanced begin/end spans per thread (exit 1 otherwise)\n"
+      "    with balanced begin/end spans per thread and every sim span\n"
+      "    labelled with its combo and scenario (exit 1 otherwise)\n"
       "metrics: " << metric_list() << '\n';
   return 2;
 }
@@ -216,6 +218,17 @@ struct Args {
       throw std::runtime_error("missing required flag --" + name);
     }
     return *v;
+  }
+
+  // The first given flag that is not in `accepted`, if any.
+  std::optional<std::string> unknown_flag(
+      const std::vector<std::string_view>& accepted) const {
+    for (const auto& [k, v] : flags) {
+      if (std::find(accepted.begin(), accepted.end(), k) == accepted.end()) {
+        return k;
+      }
+    }
+    return std::nullopt;
   }
 };
 
@@ -990,8 +1003,9 @@ int cmd_stats(const Args& args) {
 }
 
 // ddtr tracecheck FILE — the CI-facing validator for --trace output:
-// strict JSON, the trace_event document shape, and balanced begin/end
-// spans per (pid, tid). Exit 1 with a one-line diagnostic on any defect.
+// strict JSON, the trace_event document shape, balanced begin/end spans
+// per (pid, tid), and a combo and scenario label on every sim span. Exit
+// 1 with a one-line diagnostic on any defect.
 int cmd_tracecheck(const Args& args) {
   if (args.positional.size() != 1) return usage();
   std::ifstream is(args.positional[0], std::ios::binary);
@@ -1027,32 +1041,75 @@ int cmd_shutdown(const Args& args) {
   return 0;
 }
 
+// A subcommand: its name, every flag it accepts, and its entry point.
+// Any other flag is a usage error, so a misspelled `--scael` fails instead
+// of silently running with the default scale.
+struct Command {
+  std::string_view name;
+  std::vector<std::string_view> flags;
+  int (*run)(const Args& args, const char* argv0);
+};
+
+const std::vector<Command>& commands() {
+  static const std::vector<Command> table = {
+      {"apps", {}, [](const Args&, const char*) { return cmd_apps(); }},
+      {"ddts", {}, [](const Args&, const char*) { return cmd_ddts(); }},
+      {"presets", {},
+       [](const Args&, const char*) { return cmd_presets(); }},
+      {"tracegen", {"preset", "packets", "seed-offset", "out"},
+       [](const Args& a, const char*) { return cmd_tracegen(a); }},
+      {"traceparse", {},
+       [](const Args& a, const char*) { return cmd_traceparse(a); }},
+      {"explore",
+       {"app", "scale", "jobs", "greedy", "progress", "survivor-cap",
+        "cache-dir", "log", "csv", "shard", "workers", "trace"},
+       [](const Args& a, const char* argv0) { return cmd_explore(a, argv0); }},
+      {"pareto", {"log", "app", "x", "y"},
+       [](const Args& a, const char*) { return cmd_pareto(a); }},
+      {"lint",
+       {"repo-root", "update-accounting", "fix", "dry-run", "diff",
+        "compile-commands"},
+       [](const Args& a, const char*) { return cmd_lint(a); }},
+      {"cache", {"max-age-s"},
+       [](const Args& a, const char*) { return cmd_cache(a); }},
+      {"serve", {"socket", "cache-dir", "jobs", "progress-every", "trace"},
+       [](const Args& a, const char*) { return cmd_serve(a); }},
+      {"submit",
+       {"socket", "app", "scale", "packets", "seed-offset", "greedy",
+        "survivor-cap", "jobs", "every", "x", "y", "log", "progress"},
+       [](const Args& a, const char*) { return cmd_submit(a); }},
+      {"status", {"socket"},
+       [](const Args& a, const char*) { return cmd_status(a); }},
+      {"stats", {"socket", "metrics"},
+       [](const Args& a, const char*) { return cmd_stats(a); }},
+      {"results", {"socket", "job", "log"},
+       [](const Args& a, const char*) { return cmd_results(a); }},
+      {"shutdown", {"socket"},
+       [](const Args& a, const char*) { return cmd_shutdown(a); }},
+      {"tracecheck", {},
+       [](const Args& a, const char*) { return cmd_tracecheck(a); }},
+  };
+  return table;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
   const Args args = parse_args(argc, argv, 2);
-  try {
-    if (command == "apps") return cmd_apps();
-    if (command == "ddts") return cmd_ddts();
-    if (command == "presets") return cmd_presets();
-    if (command == "tracegen") return cmd_tracegen(args);
-    if (command == "traceparse") return cmd_traceparse(args);
-    if (command == "explore") return cmd_explore(args, argv[0]);
-    if (command == "pareto") return cmd_pareto(args);
-    if (command == "lint") return cmd_lint(args);
-    if (command == "cache") return cmd_cache(args);
-    if (command == "serve") return cmd_serve(args);
-    if (command == "submit") return cmd_submit(args);
-    if (command == "status") return cmd_status(args);
-    if (command == "stats") return cmd_stats(args);
-    if (command == "results") return cmd_results(args);
-    if (command == "shutdown") return cmd_shutdown(args);
-    if (command == "tracecheck") return cmd_tracecheck(args);
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << '\n';
-    return 1;
+  for (const Command& c : commands()) {
+    if (c.name != command) continue;
+    if (const auto flag = args.unknown_flag(c.flags)) {
+      std::cerr << "error: unknown flag --" << *flag << '\n';
+      return 2;
+    }
+    try {
+      return c.run(args, argv[0]);
+    } catch (const std::exception& e) {
+      std::cerr << "error: " << e.what() << '\n';
+      return 1;
+    }
   }
   return usage();
 }
