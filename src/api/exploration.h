@@ -11,20 +11,8 @@
 // The progress observer fires per simulation within each step (see
 // core::StepProgress). Reports are bit-identical at every jobs count,
 // with or without an observer.
-//
-// Distributed execution (see src/dist/): shard(i, n) turns run() into one
-// worker of an n-way sharded exploration (requires cache_dir — shards
-// meet only through cache segments); workers(n) runs the whole
-// distributed flow in-process — n shard sessions on n threads, a segment
-// merge, then a coordinator pass whose report (byte-identical to a
-// single-process run, zero executed simulations) becomes report().
-// cancel() cooperatively stops a running exploration from an observer,
-// another thread or a signal handler; the cancelled run still checkpoints
-// its executed records to the persistent cache.
 #pragma once
 
-#include <atomic>
-#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -52,26 +40,13 @@ class Exploration {
   // and produces a byte-identical report; see
   // core::ExplorationOptions::cache_dir.
   Exploration& cache_dir(std::string dir);
-  // Run as worker shard `index` of `count`: execute only this shard's
-  // step-2 units and store them into the per-shard cache segment.
-  // Requires cache_dir(). count <= 1 restores single-process execution.
-  Exploration& shard(std::size_t index, std::size_t count);
-  // Distributed run driven entirely from the API: run() executes `count`
-  // in-process shard workers (one thread each, each with this session's
-  // jobs() lanes and its own cache segment), merges the segments
-  // (dist::SegmentMerger), then replays the merged cache in a final
-  // coordinator pass — the report() — which executes zero simulations
-  // and is byte-identical to a single-process run. Requires cache_dir();
-  // mutually exclusive with shard(). count <= 1 restores the
-  // single-process path.
-  Exploration& workers(std::size_t count);
   Exploration& on_progress(core::ProgressObserver observer);
 
   // --- Warm-serving session reuse (see src/serve/ and the corresponding
   // ExplorationOptions fields) ------------------------------------------
   // Memoize into an externally-owned cache that outlives this session, so
   // a later session over the same study replays from memory (executed
-  // counts are per-run deltas). Mutually exclusive with shard()/workers().
+  // counts are per-run deltas).
   Exploration& shared_cache(core::SimulationCache* cache);
   // Append new records to an already-loaded persistent cache instead of
   // load-append-close per run. Requires shared_cache(); the owner must
@@ -84,16 +59,6 @@ class Exploration {
   // externally-owned writer (see src/obs/trace.h). Null disables tracing;
   // purely observational — reports stay byte-identical either way.
   Exploration& trace_sink(obs::TraceWriter* sink);
-
-  // Cooperative cancellation: stops starting new simulations (running
-  // ones finish, executed records are checkpointed to the persistent
-  // cache) and marks the resulting report cancelled. Thread-safe;
-  // callable from a progress observer. One-way for the session.
-  void cancel();
-  // Replaces the session's cancel flag with an external one — e.g. a
-  // process-global flag a SIGTERM handler flips (the ddtr shard worker's
-  // checkpoint-on-terminate path).
-  Exploration& cancel_token(std::shared_ptr<std::atomic<bool>> token);
 
   const core::CaseStudy& study() const noexcept { return study_; }
   const core::ExplorationOptions& options() const noexcept {
@@ -110,13 +75,9 @@ class Exploration {
   const core::ExplorationReport& report() const;
 
  private:
-  const core::ExplorationReport& run_distributed();
-
   core::CaseStudy study_;
   energy::EnergyModel model_;
   core::ExplorationOptions options_;
-  std::size_t workers_ = 1;
-  std::shared_ptr<std::atomic<bool>> cancel_;
   std::optional<core::ExplorationReport> report_;
 };
 

@@ -1,27 +1,20 @@
 #include "core/explorer.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <map>
 #include <mutex>
 #include <optional>
-#include <random>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
-
-#ifndef _WIN32
-#include <unistd.h>
-#endif
 
 #include "core/pareto.h"
 #include "core/persistent_cache.h"
 #include "core/result_log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "support/fnv_hash.h"
 #include "support/thread_pool.h"
 
 namespace ddtr::core {
@@ -34,28 +27,21 @@ namespace {
 class ProgressReporter {
  public:
   ProgressReporter(const ProgressObserver& observer, int step,
-                   std::size_t total, std::size_t shard_index,
-                   std::size_t shard_count)
-      : observer_(observer),
-        step_(step),
-        total_(total),
-        shard_index_(shard_index),
-        shard_count_(shard_count) {
-    if (observer_) observer_({step_, 0, total_, shard_index_, shard_count_});
+                   std::size_t total)
+      : observer_(observer), step_(step), total_(total) {
+    if (observer_) observer_({step_, 0, total_});
   }
 
   void tick() {
     if (!observer_) return;
     std::lock_guard<std::mutex> lock(mu_);
-    observer_({step_, ++done_, total_, shard_index_, shard_count_});
+    observer_({step_, ++done_, total_});
   }
 
  private:
   const ProgressObserver& observer_;
   const int step_;
   const std::size_t total_;
-  const std::size_t shard_index_;
-  const std::size_t shard_count_;
   std::mutex mu_;
   std::size_t done_ = 0;
 };
@@ -83,42 +69,7 @@ std::vector<ddt::DdtCombination> greedy_step1_combos(
   return combos;
 }
 
-// Per-run segment-tag token: pid, a per-process random nonce, and a
-// process-wide sequence. The pid alone is NOT unique across hosts or
-// containers sharing one storage directory (every container's worker can
-// be pid 1), the sequence alone is not unique across processes — the
-// nonce covers both, the sequence distinguishes concurrent in-process
-// sessions.
-std::string default_run_token() {
-  static std::atomic<std::uint64_t> sequence{0};
-  static const std::uint64_t nonce = [] {
-    std::random_device rd;
-    return (static_cast<std::uint64_t>(rd()) << 32) ^ rd();
-  }();
-  const std::uint64_t seq = sequence.fetch_add(1, std::memory_order_relaxed);
-#ifndef _WIN32
-  const long long pid = static_cast<long long>(::getpid());
-#else
-  const long long pid = 0;
-#endif
-  std::ostringstream os;
-  os << 'p' << pid << '-' << std::hex << nonce << '-' << std::dec << seq;
-  return os.str();
-}
-
 }  // namespace
-
-std::size_t shard_of_key(const std::string& key,
-                         std::size_t shard_count) noexcept {
-  if (shard_count <= 1) return 0;
-  return support::fnv1a64(key.data(), key.size()) % shard_count;
-}
-
-std::string shard_segment_tag(std::size_t shard_index,
-                              std::size_t shard_count) {
-  return "shard" + std::to_string(shard_index) + "of" +
-         std::to_string(shard_count);
-}
 
 std::vector<SimulationRecord> ExplorationReport::pareto_records() const {
   std::vector<SimulationRecord> out;
@@ -152,51 +103,18 @@ ExplorationEngine::ExplorationEngine(energy::EnergyModel model,
                                      ExplorationOptions options)
     : model_(std::move(model)), options_(options) {}
 
-ExplorationEngine::FanOutcome ExplorationEngine::fan_simulations(
+std::vector<SimulationRecord> ExplorationEngine::fan_simulations(
     std::size_t count,
     const std::function<const Scenario&(std::size_t)>& scenario_of,
     const std::function<const ddt::DdtCombination&(std::size_t)>& combo_of,
     SimulationCache* cache, support::ThreadPool& pool, int step) const {
-  // Step 1 always covers the full combination set, so every worker
-  // selects the same survivors; only step 2 is split across shards.
-  const bool sharded = step == 2 && options_.shard_count > 1;
-  if (sharded && !cache) {
-    throw std::invalid_argument(
-        "ExplorationEngine: sharded execution requires a simulation cache");
-  }
   // Index-addressed slots: lane scheduling cannot affect record order, so
-  // the parallel output is bit-identical to the serial one. Skipped units
-  // leave their slot unfilled and are compacted away below.
+  // the parallel output is bit-identical to the serial one.
   std::vector<SimulationRecord> slots(count);
-  std::vector<unsigned char> filled(count, 0);
-  std::atomic<std::size_t> foreign{0};
-  std::atomic<std::size_t> dropped{0};
-  ProgressReporter progress(options_.progress, step, count,
-                            options_.shard_index, options_.shard_count);
+  ProgressReporter progress(options_.progress, step, count);
   support::parallel_for(pool, count, [&](std::size_t i) {
-    if (cancel_requested()) {
-      dropped.fetch_add(1, std::memory_order_relaxed);
-      progress.tick();
-      return;
-    }
     const Scenario& scenario = scenario_of(i);
     const ddt::DdtCombination& combo = combo_of(i);
-    if (sharded) {
-      const std::string key = SimulationCache::key_of(scenario, combo, model_);
-      if (shard_of_key(key, options_.shard_count) != options_.shard_index) {
-        // Foreign unit: replay it when a prior step already cached it
-        // (the representative scenario's survivors), otherwise leave it
-        // to the shard that owns it.
-        if (auto hit = cache->find_cached(scenario, combo, model_)) {
-          slots[i] = std::move(*hit);
-          filled[i] = 1;
-        } else {
-          foreign.fetch_add(1, std::memory_order_relaxed);
-        }
-        progress.tick();
-        return;
-      }
-    }
     {
       // Per-unit observability: a span per fan unit plus a wall-time
       // histogram over ALL units (executed or replayed — distinguishing
@@ -216,31 +134,18 @@ ExplorationEngine::FanOutcome ExplorationEngine::fan_simulations(
                        : simulate(scenario, combo, model_);
       sim_us.observe(obs::now_us() - t0);
     }
-    filled[i] = 1;
     progress.tick();
   });
-
-  FanOutcome out;
-  out.skipped_foreign = foreign.load(std::memory_order_relaxed);
-  out.skipped_cancelled = dropped.load(std::memory_order_relaxed);
-  if (out.skipped_foreign == 0 && out.skipped_cancelled == 0) {
-    out.records = std::move(slots);  // the common, complete case
-    return out;
-  }
-  out.records.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    if (filled[i]) out.records.push_back(std::move(slots[i]));
-  }
-  return out;
+  return slots;
 }
 
 std::vector<SimulationRecord> ExplorationEngine::run_step1(
     const CaseStudy& study, SimulationCache* cache) const {
   support::ThreadPool pool(options_.jobs);
-  return run_step1_fan(study, cache, pool).records;
+  return run_step1_fan(study, cache, pool);
 }
 
-ExplorationEngine::FanOutcome ExplorationEngine::run_step1_fan(
+std::vector<SimulationRecord> ExplorationEngine::run_step1_fan(
     const CaseStudy& study, SimulationCache* cache,
     support::ThreadPool& pool) const {
   const Scenario& scenario = study.scenarios.at(study.representative);
@@ -255,10 +160,10 @@ ExplorationEngine::FanOutcome ExplorationEngine::run_step1_fan(
 std::vector<SimulationRecord> ExplorationEngine::run_step1_greedy(
     const CaseStudy& study, SimulationCache* cache) const {
   support::ThreadPool pool(options_.jobs);
-  return run_step1_greedy_fan(study, cache, pool).records;
+  return run_step1_greedy_fan(study, cache, pool);
 }
 
-ExplorationEngine::FanOutcome ExplorationEngine::run_step1_greedy_fan(
+std::vector<SimulationRecord> ExplorationEngine::run_step1_greedy_fan(
     const CaseStudy& study, SimulationCache* cache,
     support::ThreadPool& pool) const {
   const Scenario& scenario = study.scenarios.at(study.representative);
@@ -393,22 +298,19 @@ std::vector<SimulationRecord> ExplorationEngine::run_step2(
     const CaseStudy& study, const std::vector<ddt::DdtCombination>& survivors,
     SimulationCache* cache) const {
   support::ThreadPool pool(options_.jobs);
-  return run_step2_fan(study, survivors, cache, pool).records;
+  return run_step2_fan(study, survivors, cache, pool);
 }
 
-ExplorationEngine::FanOutcome ExplorationEngine::run_step2_fan(
+std::vector<SimulationRecord> ExplorationEngine::run_step2_fan(
     const CaseStudy& study, const std::vector<ddt::DdtCombination>& survivors,
     SimulationCache* cache, support::ThreadPool& pool) const {
   // Flatten (scenario x survivor) into one index space, scenario-major —
-  // the serial iteration order — and fan every pair over the pool. Step 2
-  // is the sharded step: a worker engine executes only the units
-  // shard_of_key assigns to it.
+  // the serial iteration order — and fan every pair over the pool.
   const std::size_t per_scenario = survivors.size();
   const std::size_t count = per_scenario * study.scenarios.size();
   if (count == 0) {
-    ProgressReporter progress(options_.progress, 2, 0,
-                              options_.shard_index, options_.shard_count);
-    return FanOutcome{};
+    ProgressReporter progress(options_.progress, 2, 0);
+    return {};
   }
   return fan_simulations(
       count,
@@ -459,28 +361,6 @@ std::vector<SimulationRecord> ExplorationEngine::aggregate(
 }
 
 ExplorationReport ExplorationEngine::explore(const CaseStudy& study) const {
-  const bool sharded = options_.shard_count > 1;
-  if (sharded) {
-    if (options_.shard_index >= options_.shard_count) {
-      throw std::invalid_argument(
-          "ExplorationOptions: shard_index must be < shard_count");
-    }
-    if (!options_.memoize_simulations) {
-      throw std::invalid_argument(
-          "ExplorationOptions: sharded execution requires "
-          "memoize_simulations");
-    }
-    if (options_.cache_dir.empty()) {
-      throw std::invalid_argument(
-          "ExplorationOptions: sharded execution requires a cache_dir "
-          "(shards meet only through cache segments)");
-    }
-    if (options_.shared_cache || options_.shared_persistent) {
-      throw std::invalid_argument(
-          "ExplorationOptions: warm-serving hooks (shared_cache/"
-          "shared_persistent) are mutually exclusive with sharding");
-    }
-  }
   if (options_.shared_cache && !options_.memoize_simulations) {
     throw std::invalid_argument(
         "ExplorationOptions: shared_cache requires memoize_simulations");
@@ -496,8 +376,6 @@ ExplorationReport ExplorationEngine::explore(const CaseStudy& study) const {
   report.combination_count = study.combination_count();
   report.scenario_count = study.scenarios.size();
   report.exhaustive_simulations = study.exhaustive_simulations();
-  report.shard_index = options_.shard_index;
-  report.shard_count = options_.shard_count;
 
   // Whole-run span; phase spans (cache.load, step1, select, step2,
   // cache.store, aggregate) nest inside it. All tracing is null-checked
@@ -520,9 +398,7 @@ ExplorationReport ExplorationEngine::explore(const CaseStudy& study) const {
   // Cross-run persistence: seed the in-memory cache from the cache file
   // up front; new records are appended after the run. Content-hash keys
   // keep this invisible in the records — warm, cold or disabled, the
-  // report bytes are identical; only the executed counts change. Sharded
-  // workers store into a private segment file (never the shared file),
-  // which is what makes concurrent shard writers safe. With
+  // report bytes are identical; only the executed counts change. With
   // shared_persistent the load happened once at service start; the run
   // only appends.
   std::optional<PersistentSimulationCache> persistent_local;
@@ -532,18 +408,6 @@ ExplorationReport ExplorationEngine::explore(const CaseStudy& study) const {
   } else if (cache_ptr && !options_.cache_dir.empty()) {
     persistent_local.emplace(options_.cache_dir);
     persistent = &*persistent_local;
-    if (sharded) {
-      // Geometry tag + per-run token: two fleets sharing this directory
-      // with the same shard geometry still write distinct segment files
-      // (same-path concurrent appends interleave frames — the exact
-      // multi-writer corruption segments exist to prevent).
-      report.segment_tag =
-          shard_segment_tag(options_.shard_index, options_.shard_count) +
-          "." +
-          (options_.run_token.empty() ? default_run_token()
-                                      : options_.run_token);
-      persistent->set_segment(report.segment_tag);
-    }
     obs::SpanScope load_span(options_.trace_sink, "cache.load", "cache");
     report.persistent_loaded = persistent->load();
     persistent->seed(*cache_ptr);
@@ -557,15 +421,14 @@ ExplorationReport ExplorationEngine::explore(const CaseStudy& study) const {
   support::ThreadPool& pool =
       options_.shared_pool ? *options_.shared_pool : *local_pool;
 
-  FanOutcome step1 = [&] {
+  {
     obs::SpanScope span(options_.trace_sink, "step1", "explore");
-    FanOutcome out = options_.step1_policy == Step1Policy::kGreedyPerSlot
-                         ? run_step1_greedy_fan(study, cache_ptr, pool)
-                         : run_step1_fan(study, cache_ptr, pool);
-    span.arg("records", out.records.size());
-    return out;
-  }();
-  report.step1_records = std::move(step1.records);
+    report.step1_records =
+        options_.step1_policy == Step1Policy::kGreedyPerSlot
+            ? run_step1_greedy_fan(study, cache_ptr, pool)
+            : run_step1_fan(study, cache_ptr, pool);
+    span.arg("records", report.step1_records.size());
+  }
   {
     obs::SpanScope select_span(options_.trace_sink, "select", "explore");
     report.survivors =
@@ -582,13 +445,12 @@ ExplorationReport ExplorationEngine::explore(const CaseStudy& study) const {
       cache_ptr ? after_step1.misses - baseline.misses
                 : report.step1_simulations;
 
-  FanOutcome step2 = [&] {
+  {
     obs::SpanScope span(options_.trace_sink, "step2", "explore");
-    FanOutcome out = run_step2_fan(study, report.survivors, cache_ptr, pool);
-    span.arg("records", out.records.size());
-    return out;
-  }();
-  report.step2_records = std::move(step2.records);
+    report.step2_records =
+        run_step2_fan(study, report.survivors, cache_ptr, pool);
+    span.arg("records", report.step2_records.size());
+  }
   report.step2_simulations = report.step2_records.size();
   const SimulationCache::Stats after_step2 =
       cache_ptr ? cache_ptr->stats() : SimulationCache::Stats{};
@@ -597,23 +459,10 @@ ExplorationReport ExplorationEngine::explore(const CaseStudy& study) const {
                 : report.step2_simulations;
   report.cache_hits = after_step2.hits - baseline.hits;
   report.cache_misses = after_step2.misses - baseline.misses;
-  report.skipped_foreign_shard = step2.skipped_foreign;
-  report.skipped_after_cancel =
-      step1.skipped_cancelled + step2.skipped_cancelled;
-  report.cancelled = cancel_requested();
 
-  // Checkpoint even after cancellation: whatever this run executed is
-  // sound and must survive (the cancellation contract — a cancelled run
-  // leaves a valid, loadable cache file or segment). A shard worker
-  // stores only the keys it owns, so segments stay a partition.
   if (persistent) {
     obs::SpanScope store_span(options_.trace_sink, "cache.store", "cache");
-    const auto owned = [this](const std::string& key) {
-      return shard_of_key(key, options_.shard_count) == options_.shard_index;
-    };
-    report.persistent_stored = sharded
-                                   ? persistent->store_new(*cache_ptr, owned)
-                                   : persistent->store_new(*cache_ptr);
+    report.persistent_stored = persistent->store_new(*cache_ptr);
     store_span.arg("stored", report.persistent_stored);
   }
 
@@ -630,7 +479,7 @@ ExplorationReport ExplorationEngine::explore(const CaseStudy& study) const {
         .arg("pareto", report.pareto_optimal.size());
   }
 
-  // Per-step executed/hit/skip counters from the same stats deltas the
+  // Per-step executed/hit counters from the same stats deltas the
   // report itself uses (the step fans run sequentially, so the deltas
   // attribute exactly). Pure observation — the report was already final.
   {
@@ -640,16 +489,10 @@ ExplorationReport ExplorationEngine::explore(const CaseStudy& study) const {
     static obs::Counter& s2_exec =
         obs::registry().counter("explore.step2.executed");
     static obs::Counter& hits = obs::registry().counter("explore.cache_hits");
-    static obs::Counter& skip_foreign =
-        obs::registry().counter("explore.skipped_foreign");
-    static obs::Counter& skip_cancel =
-        obs::registry().counter("explore.skipped_cancelled");
     runs.add();
     s1_exec.add(report.step1_executed_simulations);
     s2_exec.add(report.step2_executed_simulations);
     hits.add(report.cache_hits);
-    skip_foreign.add(report.skipped_foreign_shard);
-    skip_cancel.add(report.skipped_after_cancel);
   }
   return report;
 }

@@ -1,12 +1,18 @@
 #include "core/persistent_cache.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <mutex>
 #include <sstream>
 #include <utility>
 #include <vector>
+
+#include <fcntl.h>
+#include <sys/file.h>
+#include <unistd.h>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -43,15 +49,42 @@ PcacheMetrics& pcache_metrics() {
 
 // Serializes cache-file I/O within the process: concurrent explorations
 // (e.g. bench_common fanning case studies over the thread pool) share one
-// cache directory, and interleaved appends would tear frames. Concurrent
-// *processes* write disjoint segment files when sharded (see
-// set_segment); unsharded cross-process appends to the main file remain
-// best-effort — the checksummed frames make a torn cross-process append a
-// skipped entry, never a crash.
+// cache directory and may share one PersistentSimulationCache. Writers in
+// other processes are excluded by DirLock below.
 std::mutex& io_mutex() {
   static std::mutex mu;
   return mu;
 }
+
+// Exclusive advisory lock on the cache directory, held by every writer
+// for its whole write. It is taken on a descriptor of the directory, not
+// of the file: compact() replaces the file by rename, so a lock on the
+// file's inode would not exclude a writer that opened the old one. The
+// kernel releases a flock() when its descriptor closes, including when
+// the holding process dies, so a killed writer leaves no stale lock.
+class DirLock {
+ public:
+  explicit DirLock(const std::string& dir)
+      : fd_(::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC)) {
+    if (fd_ < 0) return;
+    while (::flock(fd_, LOCK_EX) != 0) {
+      if (errno == EINTR) continue;
+      ::close(fd_);
+      fd_ = -1;
+      return;
+    }
+  }
+  ~DirLock() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  DirLock(const DirLock&) = delete;
+  DirLock& operator=(const DirLock&) = delete;
+
+  bool held() const noexcept { return fd_ >= 0; }
+
+ private:
+  int fd_;
+};
 
 constexpr char kFileMagic[8] = {'D', 'D', 'T', 'R', 'S', 'I', 'M', 'C'};
 constexpr std::uint32_t kFormatVersionValue =
@@ -60,15 +93,6 @@ constexpr std::uint32_t kEntryMagic = 0x454d4953u;  // "SIME" little-endian
 // One entry is a key plus one record; far below this. A corrupt length
 // prefix must not look like a multi-gigabyte entry.
 constexpr std::uint64_t kMaxEntryBytes = 16ull << 20;
-
-constexpr char kSegmentPrefix[] = "sim_cache.";
-constexpr char kSegmentSuffix[] = ".seg";
-
-bool has_suffix(const std::string& name, const char* suffix) {
-  const std::size_t n = std::char_traits<char>::length(suffix);
-  return name.size() > n &&
-         name.compare(name.size() - n, n, suffix) == 0;
-}
 
 // Entry payload: key, then the full SimulationRecord. The combination is
 // stored as its label ("AR+DLL"), which is bijective with combinations.
@@ -133,14 +157,26 @@ bool read_entry_payload(std::istream& is, std::string& key,
   return parse_combo(combo_label, r.combo);
 }
 
+// Reads and checks the file header (magic + format version). A file
+// that fails it is not ours, corrupt, or written by another format
+// version: invalid as a whole (stale-version invalidation).
+bool read_file_header(std::istream& is) {
+  char magic[sizeof(kFileMagic)] = {};
+  std::uint32_t version = 0;
+  return is.read(magic, sizeof(magic)) &&
+         std::equal(std::begin(magic), std::end(magic),
+                    std::begin(kFileMagic)) &&
+         support::read_u32(is, version) && version == kFormatVersionValue;
+}
+
 // One full structural walk of a cache file. Shared by load() (absorbing
-// entries), check_file() (counting only) and the store-target
-// revalidation, so the three can never disagree about what "well-formed"
-// means.
+// entries), compact() (folding in other writers' appends) and
+// check_file() (counting only), so they can never disagree about what
+// "well-formed" means.
 struct ParsedFile {
   bool header_valid = false;
-  // End of the last structurally complete frame: where an append may
-  // start, and past which any bytes are a torn tail.
+  // End of the last structurally complete frame: past it, any bytes are
+  // a torn tail.
   std::uint64_t valid_prefix = 0;
   std::size_t entries_ok = 0;
   std::size_t entries_corrupt = 0;
@@ -155,18 +191,7 @@ ParsedFile parse_cache_file(
   const std::uint64_t size = std::filesystem::file_size(path, ec);
   out.bytes = ec ? 0 : size;
   std::ifstream is(path, std::ios::binary);
-  if (!is) return out;
-
-  char magic[sizeof(kFileMagic)] = {};
-  std::uint32_t version = 0;
-  if (!is.read(magic, sizeof(magic)) ||
-      !std::equal(std::begin(magic), std::end(magic),
-                  std::begin(kFileMagic)) ||
-      !support::read_u32(is, version) || version != kFormatVersionValue) {
-    // Not ours, corrupt, or written by another format version: the whole
-    // file is invalid (stale-version invalidation).
-    return out;
-  }
+  if (!is || !read_file_header(is)) return out;
   out.header_valid = true;
   out.valid_prefix = static_cast<std::uint64_t>(is.tellg());
 
@@ -208,19 +233,20 @@ ParsedFile parse_cache_file(
   return out;
 }
 
-// Walks structurally complete frames from `from`, returning the offset
-// where they end. Used before appending: anything past that offset is a
-// torn tail to truncate — but frames another (in-process) writer appended
-// after our load() walk fine and are preserved.
-std::uint64_t scan_valid_frames(const std::string& path, std::uint64_t from) {
+// Where the next append goes: the end of the last structurally complete
+// frame of a file with a valid header, walked from the header (frame
+// lengths only, no payload parsing), or 0 when the file is missing or
+// invalid and must be rewritten from its header. Bytes past the returned
+// offset are a torn tail. Called under DirLock, so the walk sees the file
+// as it is now — whatever other writers appended, compacted or rewrote
+// since this object's load().
+std::uint64_t scan_valid_frames(const std::string& path) {
   constexpr std::uint64_t kFrameHeaderBytes = 4 + 8 + 8;
   std::error_code ec;
   const std::uint64_t size = std::filesystem::file_size(path, ec);
-  if (ec || size <= from) return from;
   std::ifstream is(path, std::ios::binary);
-  if (!is) return from;
-  is.seekg(static_cast<std::streamoff>(from));
-  std::uint64_t pos = from;
+  if (ec || !is || !read_file_header(is)) return 0;
+  std::uint64_t pos = static_cast<std::uint64_t>(is.tellg());
   while (pos + kFrameHeaderBytes <= size) {
     std::uint32_t entry_magic = 0;
     std::uint64_t payload_size = 0;
@@ -263,86 +289,23 @@ std::string PersistentSimulationCache::file_path() const {
   return (std::filesystem::path(dir_) / "sim_cache.ddtr").string();
 }
 
-std::string PersistentSimulationCache::segment_path(
-    const std::string& tag) const {
-  return (std::filesystem::path(dir_) /
-          (kSegmentPrefix + tag + kSegmentSuffix))
-      .string();
-}
-
-std::vector<std::string> PersistentSimulationCache::segment_paths() const {
-  std::vector<std::string> out;
-  std::error_code ec;
-  std::filesystem::directory_iterator it(dir_, ec);
-  if (ec) return out;
-  for (const auto& entry : it) {
-    if (!entry.is_regular_file(ec) || ec) continue;
-    const std::string name = entry.path().filename().string();
-    if (name.rfind(kSegmentPrefix, 0) == 0 &&
-        name.size() > sizeof(kSegmentPrefix) + sizeof(kSegmentSuffix) - 2 &&
-        has_suffix(name, kSegmentSuffix)) {
-      out.push_back(entry.path().string());
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-void PersistentSimulationCache::set_segment(std::string tag) {
-  segment_tag_ = std::move(tag);
-  // The store target changed; its validity is re-established by the next
-  // load() or store_new() revalidation.
-  store_valid_ = false;
-  store_prefix_bytes_ = 0;
-}
-
-std::string PersistentSimulationCache::store_path() const {
-  return segment_tag_.empty() ? file_path() : segment_path(segment_tag_);
-}
-
 std::size_t PersistentSimulationCache::load() {
   PcacheMetrics& metrics = pcache_metrics();
   const std::uint64_t t0 = obs::now_us();
   std::lock_guard<std::mutex> io_lock(io_mutex());
   loaded_.clear();
   load_stats_ = LoadStats{};
-  store_valid_ = false;
-  store_prefix_bytes_ = 0;
-  const std::string store_target = store_path();
-
-  std::size_t absorbed = 0;
-  const auto absorb = [&](std::string&& key, SimulationRecord&& record) {
-    const auto [it, inserted] =
-        loaded_.insert_or_assign(std::move(key), std::move(record));
-    (void)it;
-    if (!inserted) ++load_stats_.superseded;
-    ++absorbed;
-  };
-
-  // Main shared file first, then segments in name order: a segment's
-  // entry supersedes the main file's, later-named segments supersede
-  // earlier ones (merge-on-load).
-  const ParsedFile main_parsed = parse_cache_file(file_path(), absorb);
-  metrics.bytes_read.add(main_parsed.bytes);
-  load_stats_.main_entries = main_parsed.entries_ok;
-  load_stats_.corrupt_entries += main_parsed.entries_corrupt;
-  if (store_target == file_path()) {
-    store_valid_ = main_parsed.header_valid;
-    store_prefix_bytes_ = main_parsed.valid_prefix;
-  }
-  for (const std::string& seg : segment_paths()) {
-    const ParsedFile parsed = parse_cache_file(seg, absorb);
-    metrics.bytes_read.add(parsed.bytes);
-    ++load_stats_.segment_files;
-    load_stats_.segment_entries += parsed.entries_ok;
-    load_stats_.corrupt_entries += parsed.entries_corrupt;
-    if (seg == store_target) {
-      store_valid_ = parsed.header_valid;
-      store_prefix_bytes_ = parsed.valid_prefix;
-    }
-  }
-  metrics.entries_loaded.add(absorbed);
-  metrics.entries_corrupt.add(load_stats_.corrupt_entries);
+  const ParsedFile parsed = parse_cache_file(
+      file_path(), [&](std::string&& key, SimulationRecord&& record) {
+        if (!loaded_.insert_or_assign(std::move(key), std::move(record))
+                 .second) {
+          ++load_stats_.superseded;
+        }
+      });
+  load_stats_.corrupt_entries = parsed.entries_corrupt;
+  metrics.bytes_read.add(parsed.bytes);
+  metrics.entries_loaded.add(parsed.entries_ok);
+  metrics.entries_corrupt.add(parsed.entries_corrupt);
   metrics.load_us.observe(obs::now_us() - t0);
   return loaded_.size();
 }
@@ -361,13 +324,11 @@ PersistentSimulationCache::entries() const {
   return out;
 }
 
-std::size_t PersistentSimulationCache::store_new(const SimulationCache& cache,
-                                                 const KeyFilter& want) {
+std::size_t PersistentSimulationCache::store_new(
+    const SimulationCache& cache) {
   std::vector<std::pair<std::string, SimulationRecord>> fresh;
   for (auto& entry : cache.entries()) {
-    if (loaded_.contains(entry.first)) continue;
-    if (want && !want(entry.first)) continue;
-    fresh.push_back(std::move(entry));
+    if (!loaded_.contains(entry.first)) fresh.push_back(std::move(entry));
   }
   if (fresh.empty()) return 0;
 
@@ -376,43 +337,27 @@ std::size_t PersistentSimulationCache::store_new(const SimulationCache& cache,
   std::lock_guard<std::mutex> io_lock(io_mutex());
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);  // best effort
-  const std::string target = store_path();
+  const DirLock dir_lock(dir_);
+  if (!dir_lock.held()) return 0;
+  const std::string path = file_path();
 
-  // Re-validate under the lock: another session sharing this directory
-  // may have created a valid file since our load() (several cold-start
-  // sessions racing), and opening it ios::trunc below would wipe their
-  // stores. Appending possibly-duplicate entries instead is benign
-  // (load() keeps the last occurrence of a key).
-  if (!store_valid_) {
-    const ParsedFile parsed = parse_cache_file(target, nullptr);
-    if (parsed.header_valid) {
-      store_valid_ = true;
-      store_prefix_bytes_ = parsed.valid_prefix;
+  // Append to a valid file after cutting its torn tail (a writer killed
+  // mid-append); rewrite (header included) a missing or invalid one.
+  // Appending entries another writer already stored is benign: load()
+  // keeps one entry per key and compact() drops the duplicates.
+  const std::uint64_t append_from = scan_valid_frames(path);
+  if (append_from != 0) {
+    const auto size = std::filesystem::file_size(path, ec);
+    if (!ec && size > append_from) {
+      std::filesystem::resize_file(path, append_from, ec);
     }
+    if (ec) return 0;
   }
-
-  // Drop a torn tail (a run killed mid-append) before appending: frames
-  // written after a torn frame would be unreachable to the loader. Frames
-  // appended by another writer since our load() are complete and survive
-  // the re-scan.
-  if (store_valid_) {
-    const std::uint64_t valid_end =
-        scan_valid_frames(target, store_prefix_bytes_);
-    const auto size = std::filesystem::file_size(target, ec);
-    if (!ec && size > valid_end) {
-      std::filesystem::resize_file(target, valid_end, ec);
-      if (ec) return 0;
-    }
-  }
-
-  // Append to a valid file; rewrite (header included) a missing or
-  // invalid one.
-  std::ios::openmode mode = std::ios::binary |
-                            (store_valid_ ? std::ios::app : std::ios::trunc);
-  std::ofstream os(target, mode);
+  std::ofstream os(path, std::ios::binary | (append_from != 0
+                                                 ? std::ios::app
+                                                 : std::ios::trunc));
   if (!os) return 0;
-  const std::uint64_t append_from = store_valid_ ? store_prefix_bytes_ : 0;
-  if (!store_valid_) write_file_header(os);
+  if (append_from == 0) write_file_header(os);
   std::size_t written = 0;
   for (auto& [key, record] : fresh) {
     write_entry(os, key, record);
@@ -421,16 +366,13 @@ std::size_t PersistentSimulationCache::store_new(const SimulationCache& cache,
     loaded_.insert_or_assign(std::move(key), std::move(record));
   }
   if (os) {
-    store_valid_ = true;
-    store_prefix_bytes_ = static_cast<std::uint64_t>(os.tellp());
-    if (store_prefix_bytes_ > append_from) {
-      metrics.bytes_written.add(store_prefix_bytes_ - append_from);
-    }
+    const auto end = static_cast<std::uint64_t>(os.tellp());
+    if (end > append_from) metrics.bytes_written.add(end - append_from);
   }
   os.close();
-  // Flush the appended frames to stable storage: a cancelled run's
-  // checkpoint must survive a crash that follows it.
-  if (written != 0) support::fsync_file(target);
+  // Flush the appended frames to stable storage before releasing the
+  // lock: a crash right after a store must not lose what it reported.
+  if (written != 0) support::fsync_file(path);
   metrics.entries_stored.add(written);
   metrics.store_us.observe(obs::now_us() - t0);
   return written;
@@ -442,6 +384,16 @@ std::size_t PersistentSimulationCache::compact() {
   std::lock_guard<std::mutex> io_lock(io_mutex());
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);
+  const DirLock dir_lock(dir_);
+  if (!dir_lock.held()) return 0;
+
+  // Fold in what other writers appended since load(): the rewrite below
+  // replaces the whole file, so entries missing from loaded_ would be
+  // deleted.
+  parse_cache_file(file_path(),
+                   [&](std::string&& key, SimulationRecord&& record) {
+                     loaded_.try_emplace(std::move(key), std::move(record));
+                   });
 
   // Deterministic (sorted-key) order: compacted files are byte-identical
   // for identical entry sets, whatever history produced them.
@@ -465,7 +417,7 @@ std::size_t PersistentSimulationCache::compact() {
     }
   }
   // Flush the temp file to stable storage BEFORE renaming it over the
-  // main file: rename alone only orders the metadata, so a crash right
+  // cache file: rename alone only orders the metadata, so a crash right
   // after it could surface an empty or truncated sim_cache.ddtr where a
   // complete one used to be. (Cache files are disposable, but silently
   // replacing good data with a hollow file is the one corruption the
@@ -480,17 +432,8 @@ std::size_t PersistentSimulationCache::compact() {
     return 0;
   }
   support::fsync_dir(dir_);  // make the rename durable; best effort
-  {
-    std::error_code size_ec;
-    const auto size = std::filesystem::file_size(file_path(), size_ec);
-    if (!size_ec) metrics.bytes_written.add(size);
-  }
-  if (segment_tag_.empty()) {
-    store_valid_ = true;
-    const auto size = std::filesystem::file_size(file_path(), ec);
-    store_prefix_bytes_ = ec ? 0 : size;
-    if (ec) store_valid_ = false;
-  }
+  const auto size = std::filesystem::file_size(file_path(), ec);
+  if (!ec) metrics.bytes_written.add(size);
   metrics.compact_us.observe(obs::now_us() - t0);
   return sorted.size();
 }

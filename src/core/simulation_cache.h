@@ -69,15 +69,6 @@ class SimulationCache {
                                        const ddt::DdtCombination& combo,
                                        const energy::EnergyModel& model);
 
-  // Hit-only lookup: returns (and counts) a hit when the key is cached,
-  // but — unlike find() — records nothing on absence. Sharded workers use
-  // this to probe units owned by other shards: an absent foreign unit is
-  // another process's work, not a miss of this run, so it must not skew
-  // the executed-simulation accounting (executed == misses).
-  std::optional<SimulationRecord> find_cached(const Scenario& scenario,
-                                              const ddt::DdtCombination& combo,
-                                              const energy::EnergyModel& model);
-
   // Stores a record under `key` without touching the hit/miss stats (used
   // to seed the cache from a persistent store). Existing entries win.
   void insert(const std::string& key, const SimulationRecord& record);

@@ -157,8 +157,9 @@ void Server::serve_forever() {
   }
   if (scheduler_.joinable()) scheduler_.join();
 
-  // Flush: fold main file + this service's appends into one compacted
-  // main cache file (runs already appended incrementally via store_new).
+  // Flush: rewrite the cache file compacted (runs already appended
+  // incrementally via store_new). compact() folds in what other
+  // processes stored in the directory while the daemon was up.
   if (persistent_) {
     std::lock_guard<std::mutex> lock(run_mu_);
     const std::size_t entries = persistent_->compact();

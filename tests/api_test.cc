@@ -5,9 +5,6 @@
 // registry's built-in one.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <filesystem>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -193,56 +190,35 @@ TEST(Exploration, ReportThrowsBeforeRunAndOptionsChain) {
 }
 
 TEST(Exploration, ProgressObserverSeesEverySimulationSerialized) {
-  // A plain session and one sharded worker: the worker runs step 1 in
-  // full and settles foreign step-2 units as skips, yet its stream obeys
-  // the same one-sequence-per-step contract.
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() /
-      ("ddtr_api_progress_" + std::to_string(::getpid()));
-  std::filesystem::remove_all(dir);
-  Exploration plain(registry().make_study("url", tiny_options()));
-  Exploration sharded(registry().make_study("url", tiny_options()));
-  sharded.cache_dir(dir.string()).shard(0, 2);
+  Exploration session(registry().make_study("url", tiny_options()));
+  std::vector<core::StepProgress> events;
+  const core::ExplorationReport& report =
+      session.jobs(4)
+          .on_progress([&](const core::StepProgress& p) {
+            events.push_back(p);  // serialized by the engine: no lock
+          })
+          .run();
 
-  for (Exploration* session : {&plain, &sharded}) {
-    SCOPED_TRACE(session == &plain ? "plain" : "shard 0/2");
-    std::vector<core::StepProgress> events;
-    const core::ExplorationReport& report =
-        session->jobs(4)
-            .on_progress([&](const core::StepProgress& p) {
-              events.push_back(p);  // serialized by the engine: no lock
-            })
-            .run();
-
-    ASSERT_FALSE(events.empty());
-    // Events arrive in step order, `done` increments by one from 0 to
-    // total within each step, and each step ends exactly once at
-    // done == total.
-    std::size_t i = 0;
-    for (const int step : {1, 2}) {
+  ASSERT_FALSE(events.empty());
+  // Events arrive in step order, `done` increments by one from 0 to total
+  // within each step, and each step ends exactly once at done == total.
+  std::size_t i = 0;
+  for (const int step : {1, 2}) {
+    ASSERT_LT(i, events.size());
+    EXPECT_EQ(events[i].step, step);
+    EXPECT_EQ(events[i].done, 0u);
+    const std::size_t total = events[i].total;
+    for (std::size_t done = 0; done <= total; ++done, ++i) {
       ASSERT_LT(i, events.size());
       EXPECT_EQ(events[i].step, step);
-      EXPECT_EQ(events[i].done, 0u);
-      const std::size_t total = events[i].total;
-      for (std::size_t done = 0; done <= total; ++done, ++i) {
-        ASSERT_LT(i, events.size());
-        EXPECT_EQ(events[i].step, step);
-        EXPECT_EQ(events[i].done, done);
-        EXPECT_EQ(events[i].total, total);
-        EXPECT_EQ(events[i].shard_index, report.shard_index);
-        EXPECT_EQ(events[i].shard_count, report.shard_count);
-      }
+      EXPECT_EQ(events[i].done, done);
+      EXPECT_EQ(events[i].total, total);
     }
-    EXPECT_EQ(i, events.size());
-    // Totals are the report's logical simulation counts; a worker's
-    // step 2 also settles the units it left to the other shard.
-    EXPECT_EQ(events.front().total, report.step1_simulations);
-    EXPECT_EQ(events.back().total,
-              report.step2_simulations + report.skipped_foreign_shard);
-    EXPECT_EQ(events.back().done, events.back().total);
   }
-  EXPECT_GT(sharded.report().skipped_foreign_shard, 0u);
-  std::filesystem::remove_all(dir);
+  EXPECT_EQ(i, events.size());
+  // Totals are the report's logical simulation counts.
+  EXPECT_EQ(events.front().total, report.step1_simulations);
+  EXPECT_EQ(events.back().total, report.step2_simulations);
 }
 
 TEST(Api, BuilderStudyBitIdenticalToRegistryRoute) {

@@ -162,165 +162,56 @@ if(NOT cold_log_bytes STREQUAL warm_log_bytes)
       "warm-cache rerun log differs from the cold run's")
 endif()
 
-# 7. Distributed exploration, manual recipe: two shard workers sharing a
-#    cache dir write disjoint SEGMENT files (never the shared file — the
-#    concurrent-writer fix), `ddtr cache` inspects/merges them, and the
-#    coordinator pass replays everything: 0 executed simulations and a
-#    result log byte-identical to the plain serial run's.
-set(DIST_DIR "${WORK_DIR}/dist_cache")
-file(REMOVE_RECURSE "${DIST_DIR}")
-set(SERIAL_LOG "${WORK_DIR}/dist_serial.log")
-run_cli(TRUE dist_serial_out
-        explore --app url --scale 0.05 --log ${SERIAL_LOG})
-run_cli(TRUE shard0_out
-        explore --app url --scale 0.05 --cache-dir ${DIST_DIR} --shard 0/2)
-if(NOT shard0_out MATCHES "ddtr shard 0/2")
-  message(FATAL_ERROR "shard worker summary missing:\n${shard0_out}")
-endif()
-run_cli(TRUE shard1_out
-        explore --app url --scale 0.05 --cache-dir ${DIST_DIR} --shard 1/2)
-file(GLOB dist_segments "${DIST_DIR}/sim_cache.*.seg")
-list(LENGTH dist_segments dist_segment_count)
-if(NOT dist_segment_count EQUAL 2)
-  message(FATAL_ERROR
-      "expected 2 segment files, found ${dist_segment_count}")
-endif()
-if(EXISTS "${DIST_DIR}/sim_cache.ddtr")
-  message(FATAL_ERROR "shard workers wrote the shared cache file")
-endif()
+# 7. The retired step-2 sharding flags are unknown flags (exit 2, before
+#    any work), and the retired segment maintenance ops are unknown
+#    cache operations.
+foreach(case "--shard;0/2|--shard" "--workers;2|--workers")
+  string(REPLACE "|" ";" parts "${case}")
+  list(GET parts -1 bad_flag)
+  list(REMOVE_AT parts -1)
+  execute_process(
+      COMMAND ${DDTR_CLI} explore --app url --scale 0.05
+              --cache-dir ${CACHE_DIR} ${parts}
+      RESULT_VARIABLE retired_result
+      OUTPUT_VARIABLE retired_out
+      ERROR_VARIABLE retired_err)
+  if(NOT retired_result EQUAL 2 OR
+     NOT retired_err MATCHES "error: unknown flag ${bad_flag}")
+    message(FATAL_ERROR
+        "explore ${parts}: expected 'unknown flag ${bad_flag}' and exit 2, "
+        "got exit ${retired_result}:\n${retired_out}\n${retired_err}")
+  endif()
+endforeach()
+foreach(op merge gc frobnicate)
+  run_cli(FALSE cache_badop_out cache ${op} ${CACHE_DIR})
+  if(NOT cache_badop_out MATCHES "unknown cache operation '${op}'")
+    message(FATAL_ERROR
+        "cache ${op} not reported as unknown:\n${cache_badop_out}")
+  endif()
+endforeach()
 
-run_cli(TRUE cache_stats_out cache stats ${DIST_DIR})
-if(NOT cache_stats_out MATCHES "entries")
-  message(FATAL_ERROR "cache stats output unexpected:\n${cache_stats_out}")
+# 8. `ddtr cache stats|verify|clear` on the directory a plain --cache-dir
+#    run wrote (section 6): one cache file, its workload and cost-model
+#    inventory, a clean verify, then clear removes it.
+run_cli(TRUE cache_stats_out cache stats ${CACHE_DIR})
+if(NOT cache_stats_out MATCHES "entries" OR
+   NOT cache_stats_out MATCHES "URL" OR
+   NOT cache_stats_out MATCHES "model fingerprint")
+  message(FATAL_ERROR "cache stats lacks the inventory:\n${cache_stats_out}")
 endif()
-run_cli(TRUE cache_verify_out cache verify ${DIST_DIR})
+run_cli(TRUE cache_verify_out cache verify ${CACHE_DIR})
 if(NOT cache_verify_out MATCHES "cache verify: OK")
   message(FATAL_ERROR "cache verify failed:\n${cache_verify_out}")
 endif()
-run_cli(TRUE cache_merge_out cache merge ${DIST_DIR})
-if(NOT cache_merge_out MATCHES "merged 2 segments")
-  message(FATAL_ERROR "cache merge output unexpected:\n${cache_merge_out}")
+run_cli(TRUE cache_clear_out cache clear ${CACHE_DIR})
+if(NOT cache_clear_out MATCHES "removed 1 cache file ")
+  message(FATAL_ERROR "cache clear output unexpected:\n${cache_clear_out}")
 endif()
-file(GLOB dist_segments_after "${DIST_DIR}/sim_cache.*.seg")
-if(dist_segments_after)
-  message(FATAL_ERROR "segments left behind after merge")
-endif()
-
-set(DIST_LOG "${WORK_DIR}/dist_coordinator.log")
-run_cli(TRUE dist_coord_out
-        explore --app url --scale 0.05 --cache-dir ${DIST_DIR}
-        --log ${DIST_LOG})
-if(NOT dist_coord_out MATCHES "executed simulations: +0 ")
-  message(FATAL_ERROR
-      "coordinator pass executed simulations:\n${dist_coord_out}")
-endif()
-file(READ "${SERIAL_LOG}" dist_serial_bytes)
-file(READ "${DIST_LOG}" dist_coord_bytes)
-if(NOT dist_serial_bytes STREQUAL dist_coord_bytes)
-  message(FATAL_ERROR "sharded+merged log differs from the serial run's")
+if(EXISTS "${CACHE_DIR}/sim_cache.ddtr")
+  message(FATAL_ERROR "cache clear left the cache file behind")
 endif()
 
-# 8. Distributed exploration, one-command coordinator: --workers 2
-#    fork/execs the shard workers, merges, and replays.
-set(WORKERS_DIR "${WORK_DIR}/workers_cache")
-file(REMOVE_RECURSE "${WORKERS_DIR}")
-set(WORKERS_LOG "${WORK_DIR}/workers.log")
-run_cli(TRUE workers_out
-        explore --app url --scale 0.05 --cache-dir ${WORKERS_DIR}
-        --workers 2 --log ${WORKERS_LOG})
-if(NOT workers_out MATCHES "distributed: 2 workers, merged 2 segments")
-  message(FATAL_ERROR "coordinator summary missing:\n${workers_out}")
-endif()
-if(NOT workers_out MATCHES "executed simulations: +0 ")
-  message(FATAL_ERROR
-      "--workers coordinator executed simulations:\n${workers_out}")
-endif()
-file(READ "${WORKERS_LOG}" workers_bytes)
-if(NOT dist_serial_bytes STREQUAL workers_bytes)
-  message(FATAL_ERROR "--workers log differs from the serial run's")
-endif()
-
-# 9. Distributed flag contract: --shard/--workers need --cache-dir, are
-#    mutually exclusive, and malformed --shard values are usage errors.
-run_cli(FALSE shard_nocache_out explore --app url --shard 0/2)
-if(NOT shard_nocache_out MATCHES "requires --cache-dir")
-  message(FATAL_ERROR
-      "--shard without --cache-dir not reported:\n${shard_nocache_out}")
-endif()
-run_cli(FALSE shard_bad_out
-        explore --app url --cache-dir ${DIST_DIR} --shard 2x)
-if(NOT shard_bad_out MATCHES "expects I/N")
-  message(FATAL_ERROR "bad --shard not reported:\n${shard_bad_out}")
-endif()
-run_cli(FALSE shard_range_out
-        explore --app url --cache-dir ${DIST_DIR} --shard 2/2)
-if(NOT shard_range_out MATCHES "must be < N")
-  message(FATAL_ERROR
-      "out-of-range --shard not reported:\n${shard_range_out}")
-endif()
-run_cli(FALSE shard_workers_out
-        explore --app url --cache-dir ${DIST_DIR} --shard 0/2 --workers 2)
-if(NOT shard_workers_out MATCHES "mutually exclusive")
-  message(FATAL_ERROR
-      "--shard with --workers not reported:\n${shard_workers_out}")
-endif()
-run_cli(FALSE cache_badop_out cache frobnicate ${DIST_DIR})
-if(NOT cache_badop_out MATCHES "unknown cache operation")
-  message(FATAL_ERROR
-      "unknown cache op not reported:\n${cache_badop_out}")
-endif()
-
-# 10. `ddtr cache gc` prunes stale segments — never the main file — and
-#     validates --max-age-s.
-set(GC_DIR "${WORK_DIR}/gc_cache")
-file(REMOVE_RECURSE "${GC_DIR}")
-# Shard first (writes a segment into the empty dir), then a plain run
-# (replays the segment, stores the remainder into the main file) — so the
-# directory holds both a segment and a main file for gc to discriminate.
-run_cli(TRUE gc_seed_seg_out
-        explore --app url --scale 0.05 --cache-dir ${GC_DIR} --shard 0/2)
-run_cli(TRUE gc_seed_main_out
-        explore --app url --scale 0.05 --cache-dir ${GC_DIR})
-file(GLOB gc_segments "${GC_DIR}/sim_cache.*.seg")
-list(LENGTH gc_segments gc_segment_count)
-if(NOT gc_segment_count EQUAL 1)
-  message(FATAL_ERROR "expected 1 segment before gc, found ${gc_segment_count}")
-endif()
-# A generous age cap keeps everything...
-run_cli(TRUE gc_keep_out cache gc ${GC_DIR} --max-age-s 1000000)
-if(NOT gc_keep_out MATCHES "removed 0 segments")
-  message(FATAL_ERROR "gc with generous cap pruned files:\n${gc_keep_out}")
-endif()
-# ...a zero cap prunes every segment, but never the main cache file.
-run_cli(TRUE gc_out cache gc ${GC_DIR} --max-age-s 0)
-if(NOT gc_out MATCHES "removed 1 segment ")
-  message(FATAL_ERROR "gc did not prune the stale segment:\n${gc_out}")
-endif()
-file(GLOB gc_segments_after "${GC_DIR}/sim_cache.*.seg")
-if(gc_segments_after)
-  message(FATAL_ERROR "segments survived gc --max-age-s 0")
-endif()
-if(NOT EXISTS "${GC_DIR}/sim_cache.ddtr")
-  message(FATAL_ERROR "gc removed the main cache file")
-endif()
-run_cli(FALSE gc_bad_age_out cache gc ${GC_DIR} --max-age-s abc)
-if(NOT gc_bad_age_out MATCHES "expects a number")
-  message(FATAL_ERROR "bad --max-age-s not reported:\n${gc_bad_age_out}")
-endif()
-run_cli(FALSE gc_no_age_out cache gc ${GC_DIR})
-if(NOT gc_no_age_out MATCHES "missing required flag")
-  message(FATAL_ERROR "missing --max-age-s not reported:\n${gc_no_age_out}")
-endif()
-
-# 11. `ddtr cache stats` reports the workload and cost-model inventory.
-run_cli(TRUE stats_inventory_out cache stats ${GC_DIR})
-if(NOT stats_inventory_out MATCHES "URL" OR
-   NOT stats_inventory_out MATCHES "model fingerprint")
-  message(FATAL_ERROR
-      "cache stats lacks the inventory:\n${stats_inventory_out}")
-endif()
-
-# 12. Serve-daemon flag contract, daemonless: bounded numeric knobs and
+# 9. Serve-daemon flag contract, daemonless: bounded numeric knobs and
 #     required --socket values must fail fast, before any connect.
 run_cli(FALSE bad_every_out
         submit --socket ${WORK_DIR}/nope.sock --app url --every inf)

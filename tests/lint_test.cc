@@ -231,18 +231,18 @@ std::string make_run_token() {
   std::random_device rd;
   return std::to_string(::getpid()) + "." + std::to_string(rd());
 }
-std::uint64_t shard_of_key(const std::string& key, std::size_t n) {
-  return fnv1a64(key.data(), key.size()) % n;
+std::uint64_t content_hash(const std::string& key) {
+  return fnv1a64(key.data(), key.size());
 }
 )cc";
   EXPECT_FALSE(has_rule(lint::lint_source("src/core/explorer.cc", good),
                         "determinism"));
 }
 
-TEST(Determinism, FiresInsideShardOfKeyBody) {
+TEST(Determinism, FiresInsideContentHashBody) {
   const std::string bad = R"cc(
-std::uint64_t shard_of_key(const std::string& key, std::size_t n) {
-  return (fnv1a64(key.data(), key.size()) ^ ::getpid()) % n;
+std::uint64_t content_hash(const std::string& key) {
+  return fnv1a64(key.data(), key.size()) ^ ::getpid();
 }
 )cc";
   EXPECT_TRUE(has_rule(lint::lint_source("src/core/explorer.cc", bad),

@@ -2,8 +2,9 @@
 // cache: key soundness (same labels + different trace content must NOT
 // hit; different cost models must not hit), the warm-rerun contract
 // (zero executed simulations, byte-identical report), round-trips through
-// the cache file, and tolerance of corrupt / truncated / stale-version
-// files.
+// the cache file, tolerance of corrupt / truncated / stale-version
+// files, several writers (objects and processes) sharing one directory,
+// and the `ddtr cache` inspection tools.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -14,10 +15,13 @@
 #include <utility>
 #include <vector>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include "api/ddtr.h"
+#include "core/cache_inspect.h"
 #include "core/persistent_cache.h"
 #include "core/simulation_cache.h"
-#include "dist/cache_inspect.h"
 
 namespace ddtr::core {
 namespace {
@@ -51,6 +55,25 @@ class PersistentCacheTest : public ::testing::Test {
 
   std::string dir_;
 };
+
+// Adds `count` distinct records keyed "k<first>".."k<first+count-1>".
+// They are fabricated, not simulated: the file format stores whatever it
+// is given and treats keys as opaque. The network label's length varies
+// with the index, so frames differ in size and a stale append offset
+// lands mid-frame instead of on a frame boundary by accident.
+void add_records(SimulationCache& cache, std::size_t first,
+                 std::size_t count) {
+  for (std::size_t i = first; i < first + count; ++i) {
+    SimulationRecord record;
+    record.app_name = "fabricated";
+    record.combo = ddt::DdtCombination({ddt::DdtKind::kArray});
+    record.network = std::string(1 + 7 * i, 'n');
+    record.metrics.accesses = i;
+    std::string key = "k";
+    key += std::to_string(i);
+    cache.insert(key, record);
+  }
+}
 
 ExplorationReport explore_cached(const CaseStudy& study,
                                  const std::string& cache_dir) {
@@ -319,7 +342,7 @@ TEST_F(PersistentCacheTest, ZeroLengthFileIsToleratedAndReported) {
   EXPECT_TRUE(check.empty);
   EXPECT_FALSE(check.header_valid);
   EXPECT_EQ(check.entries_corrupt, 0u);
-  EXPECT_TRUE(dist::verify_cache(dir_).ok());  // empty != corrupt
+  EXPECT_TRUE(verify_cache(dir_).ok());  // empty != corrupt
   EXPECT_EQ(cache.load(), 0u);
 
   // A store rewrites it with a valid header.
@@ -363,6 +386,141 @@ TEST_F(PersistentCacheTest, ColdStartSessionsDoNotWipeEachOthersStores) {
 
   PersistentSimulationCache reader(dir_);
   EXPECT_EQ(reader.load(), 2u);  // both sessions' records survived
+}
+
+TEST_F(PersistentCacheTest, AppendAfterForeignCompactKeepsEveryEntry) {
+  // Writer A appends, writer B appends after it, a third object compacts
+  // the file, then A appends again. A must append to the file as it is
+  // now: the offset where its own last store ended lies inside the
+  // compacted file, and cutting the file there loses records.
+  PersistentSimulationCache a(dir_);
+  PersistentSimulationCache b(dir_);
+  EXPECT_EQ(a.load(), 0u);
+  EXPECT_EQ(b.load(), 0u);
+  SimulationCache records_a;
+  add_records(records_a, 4, 2);
+  EXPECT_EQ(a.store_new(records_a), 2u);
+  SimulationCache records_b;
+  add_records(records_b, 0, 4);
+  EXPECT_EQ(b.store_new(records_b), 4u);
+
+  PersistentSimulationCache compactor(dir_);
+  EXPECT_EQ(compactor.load(), 6u);
+  EXPECT_EQ(compactor.compact(), 6u);
+
+  add_records(records_a, 6, 1);
+  EXPECT_EQ(a.store_new(records_a), 1u);
+
+  PersistentSimulationCache reader(dir_);
+  EXPECT_EQ(reader.load(), 7u);
+  EXPECT_EQ(reader.load_stats().corrupt_entries, 0u);
+  EXPECT_TRUE(verify_cache(dir_).ok());
+}
+
+TEST_F(PersistentCacheTest, CompactKeepsEntriesAppendedSinceLoad) {
+  // A daemon compacting on drain must not erase what another process
+  // stored while it was up.
+  PersistentSimulationCache a(dir_);
+  PersistentSimulationCache b(dir_);
+  EXPECT_EQ(a.load(), 0u);
+  EXPECT_EQ(b.load(), 0u);
+  SimulationCache records_a;
+  add_records(records_a, 0, 1);
+  EXPECT_EQ(a.store_new(records_a), 1u);
+  SimulationCache records_b;
+  add_records(records_b, 1, 1);
+  EXPECT_EQ(b.store_new(records_b), 1u);
+
+  EXPECT_EQ(a.compact(), 2u);
+  PersistentSimulationCache reader(dir_);
+  EXPECT_EQ(reader.load(), 2u);
+  EXPECT_EQ(reader.load_stats().superseded, 0u);
+}
+
+TEST_F(PersistentCacheTest, ConcurrentWriterProcessesKeepEveryEntry) {
+  // Two writer processes store disjoint records over many store_new()
+  // calls while this process compacts the same directory in a loop.
+  // A reader must then see every record, none corrupt.
+  constexpr std::size_t kCalls = 25;
+  constexpr std::size_t kPerCall = 3;
+  std::vector<pid_t> writers;
+  for (std::size_t w = 0; w < 2; ++w) {
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      PersistentSimulationCache writer(dir_);
+      writer.load();
+      SimulationCache records;
+      bool ok = true;
+      for (std::size_t call = 0; call < kCalls; ++call) {
+        add_records(records, (w * kCalls + call) * kPerCall, kPerCall);
+        ok = writer.store_new(records) == kPerCall && ok;
+      }
+      ::_exit(ok ? 0 : 1);
+    }
+    writers.push_back(pid);
+  }
+
+  PersistentSimulationCache compactor(dir_);
+  compactor.load();
+  std::size_t exited = 0;
+  std::size_t compactions = 0;
+  while (exited < writers.size()) {
+    compactor.compact();
+    ++compactions;
+    for (pid_t& pid : writers) {
+      int status = 0;
+      if (pid == 0 || ::waitpid(pid, &status, WNOHANG) != pid) continue;
+      EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+      pid = 0;
+      ++exited;
+    }
+  }
+  EXPECT_GT(compactions, 0u);
+
+  PersistentSimulationCache reader(dir_);
+  EXPECT_EQ(reader.load(), 2 * kCalls * kPerCall);
+  EXPECT_EQ(reader.load_stats().corrupt_entries, 0u);
+  EXPECT_TRUE(verify_cache(dir_).ok());
+}
+
+TEST_F(PersistentCacheTest, CompactDropsSupersededDuplicates) {
+  // Two cold-start sessions append the SAME record (the benign
+  // duplicate-append path) — compact() folds them to one frame.
+  SimulationCache cache;
+  add_records(cache, 0, 1);
+
+  PersistentSimulationCache first(dir_);
+  PersistentSimulationCache second(dir_);
+  EXPECT_EQ(first.load(), 0u);
+  EXPECT_EQ(second.load(), 0u);
+  EXPECT_EQ(first.store_new(cache), 1u);
+  EXPECT_EQ(second.store_new(cache), 1u);  // duplicate frame appended
+
+  PersistentSimulationCache probe(dir_);
+  EXPECT_EQ(probe.load(), 1u);
+  EXPECT_EQ(probe.load_stats().superseded, 1u);
+  const auto before = std::filesystem::file_size(probe.file_path());
+  EXPECT_EQ(probe.compact(), 1u);
+  EXPECT_LT(std::filesystem::file_size(probe.file_path()), before);
+
+  PersistentSimulationCache reread(dir_);
+  EXPECT_EQ(reread.load(), 1u);
+  EXPECT_EQ(reread.load_stats().superseded, 0u);
+}
+
+TEST_F(PersistentCacheTest, InspectAndClearCoverTheCacheFile) {
+  const CaseStudy study = tiny_url_study();
+  explore_cached(study, dir_);
+  const CacheStats stats = inspect_cache(dir_);
+  EXPECT_GT(stats.entries, 0u);
+  EXPECT_GT(stats.bytes, 0u);
+  ASSERT_EQ(stats.apps.size(), 1u);
+  EXPECT_EQ(stats.apps.front().first, study.scenarios.front().app->name());
+  ASSERT_EQ(stats.model_fingerprints.size(), 1u);
+
+  EXPECT_EQ(clear_cache(dir_), 1u);
+  EXPECT_EQ(inspect_cache(dir_).entries, 0u);
 }
 
 TEST_F(PersistentCacheTest, MissingDirectoryIsCreatedOnStore) {

@@ -23,15 +23,6 @@
 // ResultLog that `pareto` can re-process later (the paper's "log files ->
 // Perl post-processing" flow).
 //
-// Distributed exploration (see src/dist/): `explore --shard I/N` runs one
-// worker of an N-way sharded exploration (simulates only its stable
-// subset, stores into a private cache segment — SIGTERM checkpoints and
-// exits); `explore --workers N` is the single-machine coordinator: it
-// fork/execs itself as N shard workers, merges their segments, then
-// replays the merged cache — zero executed simulations, byte-identical
-// report. `ddtr cache stats|verify|clear|merge|gc DIR` maintains the
-// shared cache directory those flows meet in.
-//
 // Serving (see src/serve/): `ddtr serve` keeps the persistent cache, the
 // generated traces and the simulation pool warm in one long-lived daemon;
 // `submit` sends a workload over the unix socket and streams progress
@@ -45,7 +36,6 @@
 #include <csignal>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -55,12 +45,9 @@
 #include <vector>
 
 #include "api/ddtr.h"
-#include "core/persistent_cache.h"
+#include "core/cache_inspect.h"
 #include "core/report.h"
 #include "core/result_log.h"
-#include "dist/cache_inspect.h"
-#include "dist/segment_merger.h"
-#include "dist/worker_pool.h"
 #include "lint.h"
 #include "nettrace/generator.h"
 #include "nettrace/parser.h"
@@ -111,7 +98,7 @@ int usage() {
       "[--jobs N] [--greedy] [--progress]\n"
       "               [--survivor-cap F] [--cache-dir DIR] [--log FILE] "
       "[--csv PREFIX]\n"
-      "               [--shard I/N | --workers N] [--trace FILE]\n"
+      "               [--trace FILE]\n"
       "    --jobs N: concurrent simulation lanes (default 1; 0 = one per\n"
       "              hardware thread); output is identical at any N\n"
       "    --greedy: per-slot greedy step 1 (fewer simulations)\n"
@@ -119,14 +106,7 @@ int usage() {
       "    --cache-dir DIR: persist the simulation cache across runs in\n"
       "              DIR; a warm rerun executes 0 simulations and emits\n"
       "              an identical report\n"
-      "    --shard I/N: run as worker shard I of N (requires --cache-dir):\n"
-      "              simulate only this shard's units and store them into\n"
-      "              a private cache segment; a later unsharded run over\n"
-      "              the same --cache-dir replays all shards' work\n"
-      "    --workers N: single-machine coordinator (requires --cache-dir):\n"
-      "              spawn N shard workers, merge their segments, then\n"
-      "              replay the merged cache (0 executed simulations)\n"
-        "    --trace FILE: write a Chrome trace_event JSON span timeline of\n"
+      "    --trace FILE: write a Chrome trace_event JSON span timeline of\n"
       "              the run (open in Perfetto / chrome://tracing); purely\n"
       "              observational — reports are byte-identical either way\n"
       "  ddtr lint [DIR|FILE ...] [--repo-root DIR] [--update-accounting]\n"
@@ -146,10 +126,7 @@ int usage() {
       "    --diff REF: report only findings in files changed vs the git\n"
       "              ref — fast PR feedback (full tree stays in ctest)\n"
       "  ddtr pareto --log FILE [--app NAME] [--x METRIC] [--y METRIC]\n"
-      "  ddtr cache stats|verify|clear|merge DIR\n"
-      "  ddtr cache gc DIR --max-age-s S\n"
-      "    gc: prune segment files older than S\n"
-      "        seconds (the main cache file is never touched)\n"
+      "  ddtr cache stats|verify|clear DIR\n"
       "  ddtr serve --socket PATH [--cache-dir DIR] [--jobs N]\n"
       "             [--progress-every S] [--trace FILE]\n"
       "    long-lived daemon: loads the cache once, accepts submissions\n"
@@ -273,44 +250,6 @@ double parse_double_flag(const std::string& flag, const std::string& value) {
   return parsed;
 }
 
-// "--shard I/N" — worker shard I of N.
-std::pair<std::size_t, std::size_t> parse_shard_flag(
-    const std::string& value) {
-  const std::size_t slash = value.find('/');
-  if (slash == std::string::npos || slash == 0 ||
-      slash + 1 == value.size()) {
-    throw std::runtime_error("flag --shard expects I/N (e.g. 0/4), got '" +
-                             value + "'");
-  }
-  const std::size_t index =
-      parse_count_flag("shard", value.substr(0, slash));
-  const std::size_t count =
-      parse_count_flag("shard", value.substr(slash + 1));
-  if (count == 0) {
-    throw std::runtime_error("flag --shard count N must be >= 1");
-  }
-  if (index >= count) {
-    throw std::runtime_error("flag --shard index must be < N in I/N, got '" +
-                             value + "'");
-  }
-  return {index, count};
-}
-
-// Cooperative cancellation for shard workers: SIGTERM/SIGINT raise this
-// flag, the engine stops starting simulations and checkpoints whatever it
-// executed into the worker's cache segment — a killed worker loses
-// wall-clock, never work. A signal handler may only touch lock-free
-// atomics, so the flag is a constant-initialized file-scope atomic (no
-// lazy init a handler could race or re-enter); the shared_ptr the engine
-// polls aliases it without owning it.
-std::atomic<bool> g_cancel{false};
-
-void on_terminate_signal(int) { g_cancel.store(true); }
-
-std::shared_ptr<std::atomic<bool>> cancel_token() {
-  return {&g_cancel, [](std::atomic<bool>*) {}};
-}
-
 Args parse_args(int argc, char** argv, int from) {
   Args args;
   for (int i = from; i < argc; ++i) {
@@ -418,7 +357,7 @@ int cmd_traceparse(const Args& args) {
   return 0;
 }
 
-int cmd_explore(const Args& args, const char* argv0) {
+int cmd_explore(const Args& args) {
   const std::string app = args.require("app");
   if (!api::registry().contains(app)) {
     std::cerr << "error: unknown app '" << app << "' (registered: "
@@ -451,67 +390,6 @@ int cmd_explore(const Args& args, const char* argv0) {
   }
   const auto cache_dir = args.valued("cache-dir");
   const auto trace_path = args.valued("trace");
-  const auto shard_flag = args.valued("shard");
-  const auto workers_flag = args.valued("workers");
-  std::pair<std::size_t, std::size_t> shard{0, 1};
-  if (shard_flag) shard = parse_shard_flag(*shard_flag);
-  const std::size_t worker_count =
-      workers_flag ? parse_count_flag("workers", *workers_flag)
-                   : std::size_t{1};
-  if (shard_flag && workers_flag) {
-    throw std::runtime_error(
-        "--shard and --workers are mutually exclusive (a shard worker is "
-        "spawned BY --workers)");
-  }
-  if ((shard_flag || worker_count > 1) && !cache_dir) {
-    throw std::runtime_error(
-        "distributed exploration requires --cache-dir (shard workers meet "
-        "only through cache segments)");
-  }
-
-  if (worker_count > 1) {
-    // Coordinator: re-exec ourselves as one worker per shard (forwarding
-    // every exploration flag, swapping --workers for --shard), merge the
-    // segments they wrote, then fall through to the standard exploration
-    // below — which replays the merged cache with zero executed
-    // simulations and prints the usual (byte-identical) report.
-    std::vector<std::string> base{dist::self_executable(argv0), "explore"};
-    for (const auto& [key, value] : args.flags) {
-      if (key == "workers" || key == "log" || key == "csv") continue;
-      base.push_back("--" + key);
-      if (!value.empty()) base.push_back(value);
-    }
-    std::vector<std::vector<std::string>> commands;
-    commands.reserve(worker_count);
-    for (std::size_t i = 0; i < worker_count; ++i) {
-      std::vector<std::string> command = base;
-      command.push_back("--shard");
-      command.push_back(std::to_string(i) + "/" +
-                        std::to_string(worker_count));
-      commands.push_back(std::move(command));
-    }
-    const std::vector<dist::ProcessResult> results =
-        dist::run_worker_processes(commands);
-    bool all_ok = true;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      if (results[i].ok()) continue;
-      all_ok = false;
-      std::cerr << "error: shard worker " << i << "/" << worker_count;
-      if (!results[i].spawned) {
-        std::cerr << " failed to spawn\n";
-      } else if (results[i].signaled) {
-        std::cerr << " died on signal " << results[i].term_signal << '\n';
-      } else {
-        std::cerr << " exited with code " << results[i].exit_code << '\n';
-      }
-    }
-    if (!all_ok) return 1;
-    const dist::MergeStats merged = dist::SegmentMerger::merge(*cache_dir);
-    std::cout << "distributed: " << worker_count << " workers, merged "
-              << merged.segment_files << " segments (" << merged.entries
-              << " entries, " << merged.duplicates_dropped
-              << " duplicates dropped)\n";
-  }
 
   api::Exploration session(api::registry().make_study(
       app, core::CaseStudyOptions{}.scaled(scale)));
@@ -522,15 +400,6 @@ int cmd_explore(const Args& args, const char* argv0) {
     tracer.emplace();
     session.trace_sink(&*tracer);
   }
-  const auto flush_trace = [&] {
-    if (!tracer) return;
-    if (!tracer->write_file(*trace_path)) {
-      std::cerr << "error: cannot write trace file " << *trace_path << '\n';
-      return;
-    }
-    std::cerr << "wrote " << tracer->event_count() << " trace events to "
-              << *trace_path << '\n';
-  };
   if (jobs) session.jobs(job_count);
   if (survivor_cap) session.survivor_cap(survivor_cap_fraction);
   if (cache_dir) session.cache_dir(*cache_dir);
@@ -548,33 +417,15 @@ int cmd_explore(const Args& args, const char* argv0) {
     });
   }
 
-  if (shard_flag) {
-    // Worker mode: simulate this shard, checkpoint the segment, report on
-    // stderr (stdout stays the coordinator's), skip the paper report —
-    // a worker's in-memory report is partial by design.
-    std::signal(SIGTERM, on_terminate_signal);
-    std::signal(SIGINT, on_terminate_signal);
-    session.shard(shard.first, shard.second).cancel_token(cancel_token());
-    const core::ExplorationReport& report = session.run();
-    const std::string segment = core::PersistentSimulationCache(*cache_dir)
-                                    .segment_path(report.segment_tag);
-    std::cerr << "[ddtr shard " << shard.first << '/' << shard.second << "] "
-              << report.app_name << ": executed "
-              << report.executed_simulations() << ", replayed "
-              << report.cache_hits << ", foreign "
-              << report.skipped_foreign_shard << ", stored "
-              << report.persistent_stored << " -> " << segment << '\n';
-    if (report.cancelled) {
-      std::cerr << "[ddtr shard " << shard.first << '/' << shard.second
-                << "] cancelled — segment checkpointed ("
-                << report.persistent_stored << " records)\n";
-    }
-    flush_trace();
-    return 0;
-  }
-
   const core::ExplorationReport& report = session.run();
-  flush_trace();
+  if (tracer) {
+    if (tracer->write_file(*trace_path)) {
+      std::cerr << "wrote " << tracer->event_count() << " trace events to "
+                << *trace_path << '\n';
+    } else {
+      std::cerr << "error: cannot write trace file " << *trace_path << '\n';
+    }
+  }
 
   std::cout << "application: " << report.app_name << '\n'
             << "configurations: " << report.scenario_count << '\n'
@@ -660,18 +511,17 @@ int cmd_lint(const Args& raw_args) {
   return lint::run_lint(options, std::cout) == 0 ? 0 : 1;
 }
 
-// ddtr cache <stats|verify|clear|merge> DIR — inspection and maintenance
-// of a persistent-cache directory (main file + per-writer segments).
+// ddtr cache <stats|verify|clear> DIR — inspection and maintenance of a
+// persistent-cache directory.
 int cmd_cache(const Args& args) {
   if (args.positional.size() != 2) return usage();
   const std::string& op = args.positional[0];
   const std::string& dir = args.positional[1];
 
   if (op == "stats") {
-    const dist::CacheStats stats = dist::inspect_cache(dir);
+    const core::CacheStats stats = core::inspect_cache(dir);
     support::TextTable table({"property", "value"});
     table.add_row({"directory", dir});
-    table.add_row({"files", std::to_string(stats.files)});
     table.add_row({"bytes", support::format_bytes(stats.bytes)});
     table.add_row({"entries", std::to_string(stats.entries)});
     table.add_row({"duplicates", std::to_string(stats.duplicates)});
@@ -697,20 +547,17 @@ int cmd_cache(const Args& args) {
   }
 
   if (op == "verify") {
-    const dist::VerifyReport report = dist::verify_cache(dir);
+    const core::VerifyReport report = core::verify_cache(dir);
+    const auto& [path, check] = report;
     support::TextTable table({"file", "header", "entries", "corrupt",
                               "torn tail bytes"});
-    for (const auto& [path, check] : report.files) {
-      if (!check.present) {
-        table.add_row({path, "absent", "-", "-", "-"});
-        continue;
-      }
-      if (check.empty) {
-        // Zero-length: the scar of a crash before the first write —
-        // tolerated, rewritten by the next store.
-        table.add_row({path, "empty", "0", "0", "0"});
-        continue;
-      }
+    if (!check.present) {
+      table.add_row({path, "absent", "-", "-", "-"});
+    } else if (check.empty) {
+      // Zero-length: the scar of a crash before the first write —
+      // tolerated, rewritten by the next store.
+      table.add_row({path, "empty", "0", "0", "0"});
+    } else {
       table.add_row({path, check.header_valid ? "ok" : "INVALID",
                      std::to_string(check.entries_ok),
                      std::to_string(check.entries_corrupt),
@@ -723,41 +570,14 @@ int cmd_cache(const Args& args) {
   }
 
   if (op == "clear") {
-    const std::size_t removed = dist::clear_cache(dir);
+    const std::size_t removed = core::clear_cache(dir);
     std::cout << "removed " << removed << " cache file"
               << (removed == 1 ? "" : "s") << " from " << dir << '\n';
     return 0;
   }
 
-  if (op == "merge") {
-    const dist::MergeStats stats = dist::SegmentMerger::merge(dir);
-    std::cout << "merged " << stats.segment_files << " segments into "
-              << core::PersistentSimulationCache(dir).file_path() << ": "
-              << stats.entries << " entries, " << stats.duplicates_dropped
-              << " duplicates dropped, "
-              << support::format_bytes(stats.bytes_before) << " -> "
-              << support::format_bytes(stats.bytes_after) << '\n';
-    return 0;
-  }
-
-  if (op == "gc") {
-    const double max_age_s =
-        parse_double_flag("max-age-s", args.require("max-age-s"));
-    if (!std::isfinite(max_age_s) || max_age_s < 0.0 || max_age_s > 1e10) {
-      throw std::runtime_error(
-          "flag --max-age-s expects seconds in [0, 1e10], got '" +
-          args.require("max-age-s") + "'");
-    }
-    const dist::GcStats stats = dist::gc_cache(dir, max_age_s);
-    std::cout << "gc: removed " << stats.segments_removed << " segment"
-              << (stats.segments_removed == 1 ? "" : "s") << " older than "
-              << support::format_double(max_age_s, 3) << " s (" << stats.kept
-              << " kept) in " << dir << '\n';
-    return 0;
-  }
-
   std::cerr << "error: unknown cache operation '" << op
-            << "' (stats|verify|clear|merge|gc)\n";
+            << "' (stats|verify|clear)\n";
   return 2;
 }
 
@@ -1047,47 +867,47 @@ int cmd_shutdown(const Args& args) {
 struct Command {
   std::string_view name;
   std::vector<std::string_view> flags;
-  int (*run)(const Args& args, const char* argv0);
+  int (*run)(const Args& args);
 };
 
 const std::vector<Command>& commands() {
   static const std::vector<Command> table = {
-      {"apps", {}, [](const Args&, const char*) { return cmd_apps(); }},
-      {"ddts", {}, [](const Args&, const char*) { return cmd_ddts(); }},
+      {"apps", {}, [](const Args&) { return cmd_apps(); }},
+      {"ddts", {}, [](const Args&) { return cmd_ddts(); }},
       {"presets", {},
-       [](const Args&, const char*) { return cmd_presets(); }},
+       [](const Args&) { return cmd_presets(); }},
       {"tracegen", {"preset", "packets", "seed-offset", "out"},
-       [](const Args& a, const char*) { return cmd_tracegen(a); }},
+       [](const Args& a) { return cmd_tracegen(a); }},
       {"traceparse", {},
-       [](const Args& a, const char*) { return cmd_traceparse(a); }},
+       [](const Args& a) { return cmd_traceparse(a); }},
       {"explore",
        {"app", "scale", "jobs", "greedy", "progress", "survivor-cap",
-        "cache-dir", "log", "csv", "shard", "workers", "trace"},
-       [](const Args& a, const char* argv0) { return cmd_explore(a, argv0); }},
+        "cache-dir", "log", "csv", "trace"},
+       [](const Args& a) { return cmd_explore(a); }},
       {"pareto", {"log", "app", "x", "y"},
-       [](const Args& a, const char*) { return cmd_pareto(a); }},
+       [](const Args& a) { return cmd_pareto(a); }},
       {"lint",
        {"repo-root", "update-accounting", "fix", "dry-run", "diff",
         "compile-commands"},
-       [](const Args& a, const char*) { return cmd_lint(a); }},
-      {"cache", {"max-age-s"},
-       [](const Args& a, const char*) { return cmd_cache(a); }},
+       [](const Args& a) { return cmd_lint(a); }},
+      {"cache", {},
+       [](const Args& a) { return cmd_cache(a); }},
       {"serve", {"socket", "cache-dir", "jobs", "progress-every", "trace"},
-       [](const Args& a, const char*) { return cmd_serve(a); }},
+       [](const Args& a) { return cmd_serve(a); }},
       {"submit",
        {"socket", "app", "scale", "packets", "seed-offset", "greedy",
         "survivor-cap", "jobs", "every", "x", "y", "log", "progress"},
-       [](const Args& a, const char*) { return cmd_submit(a); }},
+       [](const Args& a) { return cmd_submit(a); }},
       {"status", {"socket"},
-       [](const Args& a, const char*) { return cmd_status(a); }},
+       [](const Args& a) { return cmd_status(a); }},
       {"stats", {"socket", "metrics"},
-       [](const Args& a, const char*) { return cmd_stats(a); }},
+       [](const Args& a) { return cmd_stats(a); }},
       {"results", {"socket", "job", "log"},
-       [](const Args& a, const char*) { return cmd_results(a); }},
+       [](const Args& a) { return cmd_results(a); }},
       {"shutdown", {"socket"},
-       [](const Args& a, const char*) { return cmd_shutdown(a); }},
+       [](const Args& a) { return cmd_shutdown(a); }},
       {"tracecheck", {},
-       [](const Args& a, const char*) { return cmd_tracecheck(a); }},
+       [](const Args& a) { return cmd_tracecheck(a); }},
   };
   return table;
 }
@@ -1105,7 +925,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     try {
-      return c.run(args, argv[0]);
+      return c.run(args);
     } catch (const std::exception& e) {
       std::cerr << "error: " << e.what() << '\n';
       return 1;
