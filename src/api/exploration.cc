@@ -47,22 +47,6 @@ Exploration& Exploration::on_progress(core::ProgressObserver observer) {
   return *this;
 }
 
-Exploration& Exploration::shared_cache(core::SimulationCache* cache) {
-  options_.shared_cache = cache;
-  return *this;
-}
-
-Exploration& Exploration::shared_persistent(
-    core::PersistentSimulationCache* persistent) {
-  options_.shared_persistent = persistent;
-  return *this;
-}
-
-Exploration& Exploration::shared_pool(support::ThreadPool* pool) {
-  options_.shared_pool = pool;
-  return *this;
-}
-
 Exploration& Exploration::trace_sink(obs::TraceWriter* sink) {
   options_.trace_sink = sink;
   return *this;

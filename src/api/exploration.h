@@ -42,19 +42,6 @@ class Exploration {
   Exploration& cache_dir(std::string dir);
   Exploration& on_progress(core::ProgressObserver observer);
 
-  // --- Warm-serving session reuse (see src/serve/ and the corresponding
-  // ExplorationOptions fields) ------------------------------------------
-  // Memoize into an externally-owned cache that outlives this session, so
-  // a later session over the same study replays from memory (executed
-  // counts are per-run deltas).
-  Exploration& shared_cache(core::SimulationCache* cache);
-  // Append new records to an already-loaded persistent cache instead of
-  // load-append-close per run. Requires shared_cache(); the owner must
-  // serialize run() calls sharing one instance.
-  Exploration& shared_persistent(core::PersistentSimulationCache* persistent);
-  // Fan simulations over an externally-owned pool (lanes spawn once per
-  // service, not once per run).
-  Exploration& shared_pool(support::ThreadPool* pool);
   // Emit Chrome trace_event spans for this session's runs into an
   // externally-owned writer (see src/obs/trace.h). Null disables tracing;
   // purely observational — reports stay byte-identical either way.

@@ -27,9 +27,9 @@ struct CaseStudyOptions {
   CaseStudyOptions scaled(double factor) const;
 };
 
-// Range checks shared by every front end that takes these values from a
-// user (`ddtr explore`, the serve daemon): empty when `value` is valid,
-// otherwise the reason it is not.
+// Range checks for front ends that take these values from a user
+// (`ddtr explore`): empty when `value` is valid, otherwise the reason it
+// is not.
 std::string scale_error(double value);         // finite, in (0, 100]
 std::string survivor_cap_error(double value);  // finite, in [0, 1]
 

@@ -7,7 +7,6 @@
 #include <mutex>
 #include <optional>
 #include <sstream>
-#include <stdexcept>
 #include <utility>
 
 #include "core/pareto.h"
@@ -361,16 +360,6 @@ std::vector<SimulationRecord> ExplorationEngine::aggregate(
 }
 
 ExplorationReport ExplorationEngine::explore(const CaseStudy& study) const {
-  if (options_.shared_cache && !options_.memoize_simulations) {
-    throw std::invalid_argument(
-        "ExplorationOptions: shared_cache requires memoize_simulations");
-  }
-  if (options_.shared_persistent && !options_.shared_cache) {
-    throw std::invalid_argument(
-        "ExplorationOptions: shared_persistent requires shared_cache (the "
-        "owner seeds the warm cache from the loaded file once)");
-  }
-
   ExplorationReport report;
   report.app_name = study.name;
   report.combination_count = study.combination_count();
@@ -382,44 +371,24 @@ ExplorationReport ExplorationEngine::explore(const CaseStudy& study) const {
   // through SpanScope, so the untraced path pays nothing.
   obs::SpanScope explore_span(options_.trace_sink, "explore", "explore");
 
-  // The memoization cache: a per-run one by default, or the caller's
-  // long-lived warm cache (serve mode), which keeps records across
-  // explore() calls so a repeated study replays entirely from memory.
+  // The per-run memoization cache (null when memoization is off).
   SimulationCache local_cache;
-  SimulationCache* cache_ptr = nullptr;
-  if (options_.memoize_simulations) {
-    cache_ptr = options_.shared_cache ? options_.shared_cache : &local_cache;
-  }
-  // Stats baseline: a warm shared cache arrives with history, and the
-  // executed-simulation accounting below (executed == misses) must count
-  // only THIS run's traffic — everything is reported as a delta.
-  const SimulationCache::Stats baseline =
-      cache_ptr ? cache_ptr->stats() : SimulationCache::Stats{};
+  SimulationCache* cache_ptr =
+      options_.memoize_simulations ? &local_cache : nullptr;
   // Cross-run persistence: seed the in-memory cache from the cache file
   // up front; new records are appended after the run. Content-hash keys
   // keep this invisible in the records — warm, cold or disabled, the
-  // report bytes are identical; only the executed counts change. With
-  // shared_persistent the load happened once at service start; the run
-  // only appends.
-  std::optional<PersistentSimulationCache> persistent_local;
-  PersistentSimulationCache* persistent = options_.shared_persistent;
-  if (persistent) {
-    report.persistent_loaded = persistent->loaded_count();
-  } else if (cache_ptr && !options_.cache_dir.empty()) {
-    persistent_local.emplace(options_.cache_dir);
-    persistent = &*persistent_local;
+  // report bytes are identical; only the executed counts change.
+  std::optional<PersistentSimulationCache> persistent;
+  if (cache_ptr && !options_.cache_dir.empty()) {
+    persistent.emplace(options_.cache_dir);
     obs::SpanScope load_span(options_.trace_sink, "cache.load", "cache");
     report.persistent_loaded = persistent->load();
     persistent->seed(*cache_ptr);
     load_span.arg("records", report.persistent_loaded);
   }
-  // One pool for the whole run: spawning lanes once, not per step — or
-  // the owner's long-lived pool (serve mode: lanes spawn once per
-  // service, concurrent sessions multiplex over them).
-  std::optional<support::ThreadPool> local_pool;
-  if (!options_.shared_pool) local_pool.emplace(options_.jobs);
-  support::ThreadPool& pool =
-      options_.shared_pool ? *options_.shared_pool : *local_pool;
+  // One pool for the whole run: spawning lanes once, not per step.
+  support::ThreadPool pool(options_.jobs);
 
   {
     obs::SpanScope span(options_.trace_sink, "step1", "explore");
@@ -442,8 +411,7 @@ ExplorationReport ExplorationEngine::explore(const CaseStudy& study) const {
   const SimulationCache::Stats after_step1 =
       cache_ptr ? cache_ptr->stats() : SimulationCache::Stats{};
   report.step1_executed_simulations =
-      cache_ptr ? after_step1.misses - baseline.misses
-                : report.step1_simulations;
+      cache_ptr ? after_step1.misses : report.step1_simulations;
 
   {
     obs::SpanScope span(options_.trace_sink, "step2", "explore");
@@ -457,8 +425,8 @@ ExplorationReport ExplorationEngine::explore(const CaseStudy& study) const {
   report.step2_executed_simulations =
       cache_ptr ? after_step2.misses - after_step1.misses
                 : report.step2_simulations;
-  report.cache_hits = after_step2.hits - baseline.hits;
-  report.cache_misses = after_step2.misses - baseline.misses;
+  report.cache_hits = after_step2.hits;
+  report.cache_misses = after_step2.misses;
 
   if (persistent) {
     obs::SpanScope store_span(options_.trace_sink, "cache.store", "cache");

@@ -40,8 +40,6 @@ class TraceWriter;
 
 namespace ddtr::core {
 
-class PersistentSimulationCache;
-
 // How step 1 covers the combination space.
 enum class Step1Policy {
   // Simulate every combination (10^slots simulations) — the paper's
@@ -105,28 +103,6 @@ struct ExplorationOptions {
   // Does not affect the produced records: reports stay bit-identical with
   // or without an observer, at any lane count.
   ProgressObserver progress;
-  // --- Warm-serving hooks (see src/serve/) ------------------------------
-  // A long-lived service runs many explorations in one process and must
-  // not pay registry/cache/pool setup per run. These pointers let an
-  // owner (serve::Server) keep that state open across explore() calls;
-  // all three are borrowed, never owned, and must outlive the run.
-  //
-  // When set, explore() memoizes into this externally-owned cache instead
-  // of a per-run one. Stats (hits/misses, thus executed counts) are
-  // reported as per-run DELTAS against the cache's state at entry, so a
-  // fully warm rerun still reports 0 executed simulations. Requires
-  // memoize_simulations.
-  SimulationCache* shared_cache = nullptr;
-  // When set (requires shared_cache), explore() skips the per-run
-  // persistent load() — the owner loaded the file once at service start
-  // and seeded shared_cache from it — and only appends this run's new
-  // records via store_new(). The owner must serialize explore() calls
-  // that share one instance (store_new mutates the loaded set).
-  PersistentSimulationCache* shared_persistent = nullptr;
-  // When set, the steps fan over this pool instead of a per-run one
-  // (lanes spawn once per service, not once per exploration). Safe to
-  // share: concurrent parallel_for calls keep per-call state.
-  support::ThreadPool* shared_pool = nullptr;
   // --- Observability (see src/obs/) -------------------------------------
   // Optional span tracer: when set, explore() emits Chrome trace_event
   // spans (step1/select/step2/aggregate, every simulation fan unit, cache

@@ -29,8 +29,6 @@ namespace {
 struct PcacheMetrics {
   obs::Histogram& load_us = obs::registry().histogram("pcache.load_us");
   obs::Histogram& store_us = obs::registry().histogram("pcache.store_us");
-  obs::Histogram& compact_us =
-      obs::registry().histogram("pcache.compact_us");
   obs::Counter& bytes_read = obs::registry().counter("pcache.bytes_read");
   obs::Counter& bytes_written =
       obs::registry().counter("pcache.bytes_written");
@@ -57,11 +55,12 @@ std::mutex& io_mutex() {
 }
 
 // Exclusive advisory lock on the cache directory, held by every writer
-// for its whole write. It is taken on a descriptor of the directory, not
-// of the file: compact() replaces the file by rename, so a lock on the
-// file's inode would not exclude a writer that opened the old one. The
-// kernel releases a flock() when its descriptor closes, including when
-// the holding process dies, so a killed writer leaves no stale lock.
+// for its whole append. It is taken on a descriptor of the directory, not
+// of the file: a directory lock works whether or not the file exists yet,
+// and `ddtr cache clear` unlinks the file, so a lock on the file's inode
+// would not exclude a writer that opened the unlinked one. The kernel
+// releases a flock() when its descriptor closes, including when the
+// holding process dies, so a killed writer leaves no stale lock.
 class DirLock {
  public:
   explicit DirLock(const std::string& dir)
@@ -170,9 +169,8 @@ bool read_file_header(std::istream& is) {
 }
 
 // One full structural walk of a cache file. Shared by load() (absorbing
-// entries), compact() (folding in other writers' appends) and
-// check_file() (counting only), so they can never disagree about what
-// "well-formed" means.
+// entries) and check_file() (counting only), so they can never disagree
+// about what "well-formed" means.
 struct ParsedFile {
   bool header_valid = false;
   // End of the last structurally complete frame: past it, any bytes are
@@ -238,8 +236,8 @@ ParsedFile parse_cache_file(
 // lengths only, no payload parsing), or 0 when the file is missing or
 // invalid and must be rewritten from its header. Bytes past the returned
 // offset are a torn tail. Called under DirLock, so the walk sees the file
-// as it is now — whatever other writers appended, compacted or rewrote
-// since this object's load().
+// as it is now — whatever other writers appended or rewrote since this
+// object's load().
 std::uint64_t scan_valid_frames(const std::string& path) {
   constexpr std::uint64_t kFrameHeaderBytes = 4 + 8 + 8;
   std::error_code ec;
@@ -344,7 +342,7 @@ std::size_t PersistentSimulationCache::store_new(
   // Append to a valid file after cutting its torn tail (a writer killed
   // mid-append); rewrite (header included) a missing or invalid one.
   // Appending entries another writer already stored is benign: load()
-  // keeps one entry per key and compact() drops the duplicates.
+  // keeps one entry per key.
   const std::uint64_t append_from = scan_valid_frames(path);
   if (append_from != 0) {
     const auto size = std::filesystem::file_size(path, ec);
@@ -378,66 +376,6 @@ std::size_t PersistentSimulationCache::store_new(
   return written;
 }
 
-std::size_t PersistentSimulationCache::compact() {
-  PcacheMetrics& metrics = pcache_metrics();
-  const std::uint64_t t0 = obs::now_us();
-  std::lock_guard<std::mutex> io_lock(io_mutex());
-  std::error_code ec;
-  std::filesystem::create_directories(dir_, ec);
-  const DirLock dir_lock(dir_);
-  if (!dir_lock.held()) return 0;
-
-  // Fold in what other writers appended since load(): the rewrite below
-  // replaces the whole file, so entries missing from loaded_ would be
-  // deleted.
-  parse_cache_file(file_path(),
-                   [&](std::string&& key, SimulationRecord&& record) {
-                     loaded_.try_emplace(std::move(key), std::move(record));
-                   });
-
-  // Deterministic (sorted-key) order: compacted files are byte-identical
-  // for identical entry sets, whatever history produced them.
-  std::vector<const std::pair<const std::string, SimulationRecord>*> sorted;
-  sorted.reserve(loaded_.size());
-  for (const auto& entry : loaded_) sorted.push_back(&entry);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const auto* a, const auto* b) { return a->first < b->first; });
-
-  const std::string tmp = file_path() + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    if (!os) return 0;
-    write_file_header(os);
-    for (const auto* entry : sorted) {
-      write_entry(os, entry->first, entry->second);
-    }
-    if (!os) {
-      std::filesystem::remove(tmp, ec);
-      return 0;
-    }
-  }
-  // Flush the temp file to stable storage BEFORE renaming it over the
-  // cache file: rename alone only orders the metadata, so a crash right
-  // after it could surface an empty or truncated sim_cache.ddtr where a
-  // complete one used to be. (Cache files are disposable, but silently
-  // replacing good data with a hollow file is the one corruption the
-  // temp+rename pattern exists to prevent.)
-  if (!support::fsync_file(tmp)) {
-    std::filesystem::remove(tmp, ec);
-    return 0;
-  }
-  std::filesystem::rename(tmp, file_path(), ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
-    return 0;
-  }
-  support::fsync_dir(dir_);  // make the rename durable; best effort
-  const auto size = std::filesystem::file_size(file_path(), ec);
-  if (!ec) metrics.bytes_written.add(size);
-  metrics.compact_us.observe(obs::now_us() - t0);
-  return sorted.size();
-}
-
 PersistentSimulationCache::FileCheck PersistentSimulationCache::check_file(
     const std::string& path) {
   FileCheck check;
@@ -446,9 +384,9 @@ PersistentSimulationCache::FileCheck PersistentSimulationCache::check_file(
   if (!check.present) return check;
   const auto size = std::filesystem::file_size(path, ec);
   if (!ec && size == 0) {
-    // Zero-length: a crash between creation and the first write (or a
-    // lost rename). Nothing to parse, nothing corrupt — the next
-    // store_new() rewrites it from scratch.
+    // Zero-length: a crash between creation and the first write. Nothing
+    // to parse, nothing corrupt — the next store_new() rewrites it from
+    // scratch.
     check.empty = true;
     return check;
   }

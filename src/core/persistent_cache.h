@@ -8,14 +8,13 @@
 // energy-model fingerprint, see SimulationCache::key_of), so a warm cache
 // yields byte-identical reports with zero executed simulations.
 //
-// Multi-writer model: a cache directory holds ONE file (sim_cache.ddtr)
-// with one write path. Writers — store_new() and compact(), in any number
-// of processes — hold an exclusive flock() on the cache directory for the
-// whole write and re-read the file's extent under it, so they never act
-// on stale offsets; the kernel drops the lock when its holder dies, so a
-// killed writer leaves no stale lock. Readers take no lock: compact()
-// publishes by atomic rename, and a torn in-flight append is a tail the
-// loader already ignores.
+// Multi-writer model: a cache directory holds ONE append-only file
+// (sim_cache.ddtr) with one write operation, store_new(). Writers, in any
+// number of processes, hold an exclusive flock() on the cache directory
+// for the whole append and re-read the file's extent under it, so they
+// never act on stale offsets; the kernel drops the lock when its holder
+// dies, so a killed writer leaves no stale lock. Readers take no lock: a
+// torn in-flight append is a tail the loader already ignores.
 //
 // Robustness contract: cache files are disposable acceleration state,
 // never a source of truth. A missing, truncated, corrupt or
@@ -78,7 +77,6 @@ class PersistentSimulationCache {
   std::size_t load();
 
   const LoadStats& load_stats() const noexcept { return load_stats_; }
-  std::size_t loaded_count() const noexcept { return loaded_.size(); }
 
   // Seeds `cache` with every loaded entry (existing entries win, stats
   // untouched — seeded records count as hits only when a lookup replays
@@ -98,16 +96,6 @@ class PersistentSimulationCache {
   // is best-effort by design). Written entries join the loaded set, so
   // calling store_new() again does not duplicate them.
   std::size_t store_new(const SimulationCache& cache);
-
-  // Rewrites the cache file with the loaded entry set plus every entry
-  // other writers appended since load() — duplicates and superseded
-  // entries dropped, deterministic (sorted-key) order — via a temp file,
-  // an fsync of file and directory, then a rename, all under the
-  // directory lock (a crash anywhere in the sequence leaves either the
-  // old file or the complete new one, never an empty/truncated one). The
-  // folded-in entries join the loaded set. Returns the number of entries
-  // written; 0 on I/O failure.
-  std::size_t compact();
 
   // Structural walk of one cache file: header, per-frame checksums,
   // payload parses, torn tail. Never throws; never modifies the file.

@@ -96,20 +96,9 @@ std::vector<std::pair<std::string, SimulationRecord>> SimulationCache::entries()
   return out;
 }
 
-std::size_t SimulationCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return records_.size();
-}
-
 SimulationCache::Stats SimulationCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
-}
-
-void SimulationCache::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  records_.clear();
-  stats_ = Stats{};
 }
 
 }  // namespace ddtr::core

@@ -76,9 +76,7 @@ class SimulationCache {
   // Snapshot of every (key, record) entry, in unspecified order.
   std::vector<std::pair<std::string, SimulationRecord>> entries() const;
 
-  std::size_t size() const;
   Stats stats() const;
-  void clear();
 
  private:
   mutable std::mutex mu_;

@@ -16,8 +16,8 @@
 //   static obs::Counter& hits = obs::registry().counter("explore.hits");
 //   hits.add();
 //
-// render_text() is deterministic (sorted by name) — it feeds the daemon's
-// StatsReply and `ddtr stats --metrics`. The global registry() is
+// render_text() is deterministic (sorted by name) — it feeds the
+// `metrics` event that `ddtr explore --trace` appends. The global registry() is
 // intentionally leaked: instrument references cached in function-local
 // statics must outlive every other static (thread pools, arenas) during
 // shutdown.

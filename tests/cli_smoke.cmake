@@ -83,8 +83,8 @@ run_cli(FALSE bad_cap_out explore --app url --scale 0.05 --survivor-cap 0.2x)
 if(NOT bad_cap_out MATCHES "expects a number")
   message(FATAL_ERROR "bad --survivor-cap not reported:\n${bad_cap_out}")
 endif()
-# Out-of-range values fail before any work, with the serve daemon's own
-# bounds: --scale in (0, 100], --survivor-cap in [0, 1], both finite.
+# Out-of-range values fail before any work: --scale in (0, 100],
+# --survivor-cap in [0, 1], both finite.
 foreach(value nan inf -3 101)
   run_cli(FALSE range_scale_out explore --app url --scale ${value})
   if(NOT range_scale_out MATCHES "scale must be finite and in \\(0, 100\\]")
@@ -117,7 +117,6 @@ endif()
 #     with exit status 2, before any work — never silently ignored.
 foreach(case
         "explore;--app;url;--scael;0.05;--jbos;2|--scael"
-        "submit;--socket;${WORK_DIR}/none.sock;--app;url;--scael;0.05|--scael"
         "tracegen;--preset;nlanr-campus;--pakets;10|--pakets")
   string(REPLACE "|" ";" parts "${case}")
   list(GET parts -1 bad_flag)
@@ -211,28 +210,37 @@ if(EXISTS "${CACHE_DIR}/sim_cache.ddtr")
   message(FATAL_ERROR "cache clear left the cache file behind")
 endif()
 
-# 9. Serve-daemon flag contract, daemonless: bounded numeric knobs and
-#     required --socket values must fail fast, before any connect.
-run_cli(FALSE bad_every_out
-        submit --socket ${WORK_DIR}/nope.sock --app url --every inf)
-if(NOT bad_every_out MATCHES "every expects seconds")
-  message(FATAL_ERROR "bad --every not reported:\n${bad_every_out}")
+# 9. The retired daemon subcommands are unknown commands: exit 2 with
+#    the usage text.
+foreach(retired serve submit status stats results shutdown)
+  execute_process(
+      COMMAND ${DDTR_CLI} ${retired} --socket ${WORK_DIR}/none.sock
+      RESULT_VARIABLE retired_result
+      OUTPUT_VARIABLE retired_out
+      ERROR_VARIABLE retired_err)
+  if(NOT retired_result EQUAL 2 OR NOT retired_err MATCHES "^usage:")
+    message(FATAL_ERROR
+        "ddtr ${retired}: expected the usage text and exit 2, got exit "
+        "${retired_result}:\n${retired_out}\n${retired_err}")
+  endif()
+endforeach()
+
+# 10. A traced exploration writes a valid trace that ends with the
+#     metrics registry (a `metrics` event naming explore.runs).
+set(TRACE_FILE "${WORK_DIR}/explore_trace.json")
+file(REMOVE "${TRACE_FILE}")
+run_cli(TRUE traced_out
+        explore --app url --scale 0.05 --trace ${TRACE_FILE})
+run_cli(TRUE tracecheck_out tracecheck ${TRACE_FILE})
+if(NOT tracecheck_out MATCHES ": OK")
+  message(FATAL_ERROR "tracecheck rejected the trace:\n${tracecheck_out}")
 endif()
-run_cli(FALSE serve_nosocket_out serve)
-if(NOT serve_nosocket_out MATCHES "missing required flag --socket")
+file(READ "${TRACE_FILE}" trace_text)
+string(FIND "${trace_text}" "\"name\":\"metrics\"" metrics_at)
+string(FIND "${trace_text}" "\"explore.runs\"" runs_at)
+if(metrics_at EQUAL -1 OR runs_at LESS metrics_at)
   message(FATAL_ERROR
-      "serve without --socket not reported:\n${serve_nosocket_out}")
-endif()
-run_cli(FALSE submit_socketvalue_out submit --app url --socket)
-if(NOT submit_socketvalue_out MATCHES "requires a value")
-  message(FATAL_ERROR
-      "valueless --socket not reported:\n${submit_socketvalue_out}")
-endif()
-run_cli(FALSE submit_noconnect_out
-        submit --socket ${WORK_DIR}/nope.sock --app url)
-if(NOT submit_noconnect_out MATCHES "cannot connect")
-  message(FATAL_ERROR
-      "dead-socket submit not reported:\n${submit_noconnect_out}")
+      "trace lacks a metrics event carrying explore.runs:\n${trace_text}")
 endif()
 
 message(STATUS "cli_smoke: all CLI flows passed")

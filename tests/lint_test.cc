@@ -51,7 +51,7 @@ bool decode_thing(const std::string& payload, Thing& m) {
   return true;
 }
 )cc";
-  const auto findings = lint::lint_source("src/serve/protocol.cc", bad);
+  const auto findings = lint::lint_source("src/support/binary_io.cc", bad);
   EXPECT_GE(count_rule(findings, "decoder-safety"), 2u)
       << "expected both the unchecked raw read and the missing at_end()";
 }
@@ -72,7 +72,7 @@ DecodeStatus decode_frame(std::istream& is, Frame& frame) {
   return DecodeStatus::kOk;
 }
 )cc";
-  const auto findings = lint::lint_source("src/serve/protocol.cc", good);
+  const auto findings = lint::lint_source("src/support/binary_io.cc", good);
   EXPECT_FALSE(has_rule(findings, "decoder-safety"))
       << "checked reads + at_end() is the blessed decoder shape";
 }
@@ -101,7 +101,7 @@ bool decode_thing(const std::string& payload, Thing& m) {
   return support::read_u32(is, m.version) && at_end(is);
 }
 )cc";
-  EXPECT_TRUE(has_rule(lint::lint_source("src/serve/protocol.cc", bad),
+  EXPECT_TRUE(has_rule(lint::lint_source("src/support/binary_io.cc", bad),
                        "decoder-safety"));
 }
 
@@ -602,7 +602,7 @@ TEST(Iwyu, QualifiedUsesDoNotCountAsTransitiveLeaks) {
 TEST(LockOrder, FiresOnInvertedAcquisitionAcrossTwoFunctions) {
   std::vector<ddtr::lint::SourceFile> files;
   files.push_back(lint::make_source_file(
-      "src/serve/pair.cc",
+      "src/core/pair.cc",
       "#include <mutex>\n"
       "std::mutex mu_a;\n"
       "std::mutex mu_b;\n"
@@ -621,7 +621,7 @@ TEST(LockOrder, FiresOnInvertedAcquisitionAcrossTwoFunctions) {
 TEST(LockOrder, QuietOnConsistentOrderAndScopedRelease) {
   std::vector<ddtr::lint::SourceFile> files;
   files.push_back(lint::make_source_file(
-      "src/serve/pair.cc",
+      "src/core/pair.cc",
       "#include <mutex>\n"
       "std::mutex mu_a;\n"
       "std::mutex mu_b;\n"
@@ -639,7 +639,7 @@ TEST(LockOrder, QuietOnConsistentOrderAndScopedRelease) {
 TEST(LockOrder, FiresOnDoubleAcquisitionThroughCallEdge) {
   std::vector<ddtr::lint::SourceFile> files;
   files.push_back(lint::make_source_file(
-      "src/serve/reent.cc",
+      "src/core/reent.cc",
       "#include <mutex>\n"
       "std::mutex mu_;\n"
       "void helper() { std::lock_guard<std::mutex> l(mu_); }\n"
@@ -656,7 +656,7 @@ TEST(LockOrder, MemberCallsAndLambdasAreNotCallEdges) {
   // edge under the held guard.
   std::vector<ddtr::lint::SourceFile> files;
   files.push_back(lint::make_source_file(
-      "src/serve/clean.cc",
+      "src/core/clean.cc",
       "#include <map>\n"
       "#include <mutex>\n"
       "std::mutex mu_;\n"

@@ -3,13 +3,16 @@
 // hit; different cost models must not hit), the warm-rerun contract
 // (zero executed simulations, byte-identical report), round-trips through
 // the cache file, tolerance of corrupt / truncated / stale-version
-// files, several writers (objects and processes) sharing one directory,
-// and the `ddtr cache` inspection tools.
+// files (including a seeded byte-flip and truncation sweep), several
+// writers (objects and processes) sharing one directory, and the
+// `ddtr cache` inspection tools.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
@@ -22,6 +25,7 @@
 #include "core/cache_inspect.h"
 #include "core/persistent_cache.h"
 #include "core/simulation_cache.h"
+#include "support/rng.h"
 
 namespace ddtr::core {
 namespace {
@@ -331,8 +335,7 @@ TEST_F(PersistentCacheTest, StaleFormatVersionInvalidatesWholeFile) {
 
 TEST_F(PersistentCacheTest, ZeroLengthFileIsToleratedAndReported) {
   // The scar of a crash between creating the file and the first durable
-  // write (what compact()'s fsync-before-rename prevents for the rename
-  // path): tolerated on load, reported distinctly, healed by a store.
+  // write: tolerated on load, reported distinctly, healed by a store.
   std::filesystem::create_directories(dir_);
   PersistentSimulationCache cache(dir_);
   { std::ofstream os(cache.file_path(), std::ios::binary); }
@@ -388,11 +391,12 @@ TEST_F(PersistentCacheTest, ColdStartSessionsDoNotWipeEachOthersStores) {
   EXPECT_EQ(reader.load(), 2u);  // both sessions' records survived
 }
 
-TEST_F(PersistentCacheTest, AppendAfterForeignCompactKeepsEveryEntry) {
-  // Writer A appends, writer B appends after it, a third object compacts
-  // the file, then A appends again. A must append to the file as it is
-  // now: the offset where its own last store ended lies inside the
-  // compacted file, and cutting the file there loses records.
+TEST_F(PersistentCacheTest, AppendAfterForeignClearKeepsEveryEntry) {
+  // Writer A appends, writer B appends after it, `ddtr cache clear`
+  // unlinks the file and a fresh writer C starts a new, longer one; then
+  // A appends again. A must append to the file as it is now: the offset
+  // where its own last store ended lies inside C's file, and cutting the
+  // file there loses records.
   PersistentSimulationCache a(dir_);
   PersistentSimulationCache b(dir_);
   EXPECT_EQ(a.load(), 0u);
@@ -404,47 +408,31 @@ TEST_F(PersistentCacheTest, AppendAfterForeignCompactKeepsEveryEntry) {
   add_records(records_b, 0, 4);
   EXPECT_EQ(b.store_new(records_b), 4u);
 
-  PersistentSimulationCache compactor(dir_);
-  EXPECT_EQ(compactor.load(), 6u);
-  EXPECT_EQ(compactor.compact(), 6u);
+  EXPECT_EQ(clear_cache(dir_), 1u);
+  PersistentSimulationCache c(dir_);
+  EXPECT_EQ(c.load(), 0u);
+  SimulationCache records_c;
+  add_records(records_c, 7, 3);
+  EXPECT_EQ(c.store_new(records_c), 3u);
 
   add_records(records_a, 6, 1);
   EXPECT_EQ(a.store_new(records_a), 1u);
 
   PersistentSimulationCache reader(dir_);
-  EXPECT_EQ(reader.load(), 7u);
+  EXPECT_EQ(reader.load(), 4u);  // C's three and A's newest
   EXPECT_EQ(reader.load_stats().corrupt_entries, 0u);
   EXPECT_TRUE(verify_cache(dir_).ok());
 }
 
-TEST_F(PersistentCacheTest, CompactKeepsEntriesAppendedSinceLoad) {
-  // A daemon compacting on drain must not erase what another process
-  // stored while it was up.
-  PersistentSimulationCache a(dir_);
-  PersistentSimulationCache b(dir_);
-  EXPECT_EQ(a.load(), 0u);
-  EXPECT_EQ(b.load(), 0u);
-  SimulationCache records_a;
-  add_records(records_a, 0, 1);
-  EXPECT_EQ(a.store_new(records_a), 1u);
-  SimulationCache records_b;
-  add_records(records_b, 1, 1);
-  EXPECT_EQ(b.store_new(records_b), 1u);
-
-  EXPECT_EQ(a.compact(), 2u);
-  PersistentSimulationCache reader(dir_);
-  EXPECT_EQ(reader.load(), 2u);
-  EXPECT_EQ(reader.load_stats().superseded, 0u);
-}
-
 TEST_F(PersistentCacheTest, ConcurrentWriterProcessesKeepEveryEntry) {
-  // Two writer processes store disjoint records over many store_new()
-  // calls while this process compacts the same directory in a loop.
-  // A reader must then see every record, none corrupt.
+  // Two writer processes and this one store disjoint records over many
+  // store_new() calls into the same directory at the same time. A reader
+  // must then see every record, none corrupt.
   constexpr std::size_t kCalls = 25;
   constexpr std::size_t kPerCall = 3;
+  constexpr std::size_t kWriters = 3;  // two children, then this process
   std::vector<pid_t> writers;
-  for (std::size_t w = 0; w < 2; ++w) {
+  for (std::size_t w = 0; w + 1 < kWriters; ++w) {
     const pid_t pid = ::fork();
     ASSERT_GE(pid, 0);
     if (pid == 0) {
@@ -461,52 +449,106 @@ TEST_F(PersistentCacheTest, ConcurrentWriterProcessesKeepEveryEntry) {
     writers.push_back(pid);
   }
 
-  PersistentSimulationCache compactor(dir_);
-  compactor.load();
-  std::size_t exited = 0;
-  std::size_t compactions = 0;
-  while (exited < writers.size()) {
-    compactor.compact();
-    ++compactions;
-    for (pid_t& pid : writers) {
-      int status = 0;
-      if (pid == 0 || ::waitpid(pid, &status, WNOHANG) != pid) continue;
-      EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
-      pid = 0;
-      ++exited;
-    }
+  PersistentSimulationCache writer(dir_);
+  writer.load();
+  SimulationCache records;
+  for (std::size_t call = 0; call < kCalls; ++call) {
+    add_records(records, ((kWriters - 1) * kCalls + call) * kPerCall,
+                kPerCall);
+    EXPECT_EQ(writer.store_new(records), kPerCall);
   }
-  EXPECT_GT(compactions, 0u);
+  for (const pid_t pid : writers) {
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  }
 
   PersistentSimulationCache reader(dir_);
-  EXPECT_EQ(reader.load(), 2 * kCalls * kPerCall);
+  EXPECT_EQ(reader.load(), kWriters * kCalls * kPerCall);
   EXPECT_EQ(reader.load_stats().corrupt_entries, 0u);
   EXPECT_TRUE(verify_cache(dir_).ok());
 }
 
-TEST_F(PersistentCacheTest, CompactDropsSupersededDuplicates) {
-  // Two cold-start sessions append the SAME record (the benign
-  // duplicate-append path) — compact() folds them to one frame.
+bool same_record(const SimulationRecord& a, const SimulationRecord& b) {
+  const prof::ProfileCounters& x = a.counters;
+  const prof::ProfileCounters& y = b.counters;
+  return a.app_name == b.app_name && a.combo == b.combo &&
+         a.network == b.network && a.config == b.config &&
+         a.metrics.energy_mj == b.metrics.energy_mj &&
+         a.metrics.time_s == b.metrics.time_s &&
+         a.metrics.accesses == b.metrics.accesses &&
+         a.metrics.footprint_bytes == b.metrics.footprint_bytes &&
+         x.reads == y.reads && x.writes == y.writes &&
+         x.bytes_read == y.bytes_read && x.bytes_written == y.bytes_written &&
+         x.allocations == y.allocations &&
+         x.deallocations == y.deallocations &&
+         x.live_bytes == y.live_bytes && x.peak_bytes == y.peak_bytes &&
+         x.cpu_ops == y.cpu_ops;
+}
+
+TEST_F(PersistentCacheTest, CorruptionSweepNeverCrashesOrMisloads) {
+  // A seeded sweep of byte flips and of truncations at every cut point
+  // over a valid cache file. For each mutated file, load() must not
+  // throw, every record it returns must equal the original record for
+  // its key, and check_file() must count the same good and corrupt
+  // entries as load() (a duplicate key is one good frame, one entry).
   SimulationCache cache;
-  add_records(cache, 0, 1);
+  add_records(cache, 0, 6);
+  {
+    PersistentSimulationCache writer(dir_);
+    writer.load();
+    ASSERT_EQ(writer.store_new(cache), 6u);
+  }
+  PersistentSimulationCache original(dir_);
+  ASSERT_EQ(original.load(), 6u);
+  const auto entries = original.entries();
+  const std::string path = original.file_path();
+  std::string valid;
+  {
+    std::ifstream is(path, std::ios::binary);
+    valid.assign(std::istreambuf_iterator<char>(is),
+                 std::istreambuf_iterator<char>());
+  }
+  ASSERT_FALSE(valid.empty());
 
-  PersistentSimulationCache first(dir_);
-  PersistentSimulationCache second(dir_);
-  EXPECT_EQ(first.load(), 0u);
-  EXPECT_EQ(second.load(), 0u);
-  EXPECT_EQ(first.store_new(cache), 1u);
-  EXPECT_EQ(second.store_new(cache), 1u);  // duplicate frame appended
+  auto check_mutant = [&](const std::string& bytes, const std::string& what) {
+    {
+      std::ofstream os(path, std::ios::binary | std::ios::trunc);
+      os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    PersistentSimulationCache probe(dir_);
+    std::size_t loaded = 0;
+    ASSERT_NO_THROW(loaded = probe.load()) << what;
+    for (const auto& [key, record] : probe.entries()) {
+      const auto it = std::find_if(
+          entries.begin(), entries.end(),
+          [&](const auto& entry) { return entry.first == key; });
+      ASSERT_NE(it, entries.end()) << what << ": unknown key " << key;
+      EXPECT_TRUE(same_record(record, it->second))
+          << what << ": record for " << key << " differs";
+    }
+    const auto check = PersistentSimulationCache::check_file(path);
+    EXPECT_EQ(check.entries_ok, loaded + probe.load_stats().superseded)
+        << what;
+    EXPECT_EQ(check.entries_corrupt, probe.load_stats().corrupt_entries)
+        << what;
+  };
 
-  PersistentSimulationCache probe(dir_);
-  EXPECT_EQ(probe.load(), 1u);
-  EXPECT_EQ(probe.load_stats().superseded, 1u);
-  const auto before = std::filesystem::file_size(probe.file_path());
-  EXPECT_EQ(probe.compact(), 1u);
-  EXPECT_LT(std::filesystem::file_size(probe.file_path()), before);
-
-  PersistentSimulationCache reread(dir_);
-  EXPECT_EQ(reread.load(), 1u);
-  EXPECT_EQ(reread.load_stats().superseded, 0u);
+  for (std::size_t cut = 0; cut < valid.size(); ++cut) {
+    check_mutant(valid.substr(0, cut), "truncated at " + std::to_string(cut));
+  }
+  support::Rng rng(0xdd7cac4e5eedULL);
+  for (int iter = 0; iter < 2000; ++iter) {
+    std::string mutant = valid;
+    const std::uint64_t flips = rng.uniform(1, 4);
+    for (std::uint64_t f = 0; f < flips; ++f) {
+      const auto pos =
+          static_cast<std::size_t>(rng.uniform(0, mutant.size() - 1));
+      const auto mask = static_cast<char>(rng.uniform(1, 255));
+      mutant[pos] = static_cast<char>(mutant[pos] ^ mask);
+    }
+    check_mutant(mutant, "flip iteration " + std::to_string(iter));
+  }
 }
 
 TEST_F(PersistentCacheTest, InspectAndClearCoverTheCacheFile) {

@@ -10,30 +10,13 @@
 //   ddtr pareto    --log FILE [...]       post-process a result log
 //   ddtr lint      [PATH ...]             project-invariant static analysis
 //   ddtr cache     OP DIR                 inspect/maintain a cache dir
-//   ddtr serve     --socket PATH [...]    long-lived exploration daemon
-//   ddtr submit    --socket PATH --app A  submit a study to the daemon
-//   ddtr status    --socket PATH          the daemon's job table
-//   ddtr stats     --socket PATH          live daemon introspection
-//   ddtr results   --socket PATH --job I  re-fetch a job's last result
-//   ddtr shutdown  --socket PATH          drain the daemon and exit
 //   ddtr tracecheck FILE                  validate a --trace output file
 //
 // `explore --app` accepts ANY workload in api::registry() — the four paper
 // studies are just the built-in registrations. Every exploration writes a
 // ResultLog that `pareto` can re-process later (the paper's "log files ->
 // Perl post-processing" flow).
-//
-// Serving (see src/serve/): `ddtr serve` keeps the persistent cache, the
-// generated traces and the simulation pool warm in one long-lived daemon;
-// `submit` sends a workload over the unix socket and streams progress
-// back — a resubmission of the same study replays entirely from the warm
-// cache (zero executed simulations, byte-identical records). `--every S`
-// registers the study with the daemon's scheduler for periodic
-// re-exploration.
 #include <algorithm>
-#include <atomic>
-#include <cmath>
-#include <csignal>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -52,9 +35,8 @@
 #include "nettrace/generator.h"
 #include "nettrace/parser.h"
 #include "nettrace/presets.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
-#include "serve/client.h"
-#include "serve/server.h"
 #include "support/table.h"
 
 namespace {
@@ -107,8 +89,10 @@ int usage() {
       "              DIR; a warm rerun executes 0 simulations and emits\n"
       "              an identical report\n"
       "    --trace FILE: write a Chrome trace_event JSON span timeline of\n"
-      "              the run (open in Perfetto / chrome://tracing); purely\n"
-      "              observational — reports are byte-identical either way\n"
+      "              the run (open in Perfetto / chrome://tracing), ending\n"
+      "              with a `metrics` event that dumps the metrics registry;\n"
+      "              purely observational — reports are byte-identical\n"
+      "              either way\n"
       "  ddtr lint [DIR|FILE ...] [--repo-root DIR] [--update-accounting]\n"
       "            [--fix [--dry-run]] [--diff REF] [--compile-commands F]\n"
       "    run the project-invariant static-analysis pass (decoder\n"
@@ -127,30 +111,6 @@ int usage() {
       "              ref — fast PR feedback (full tree stays in ctest)\n"
       "  ddtr pareto --log FILE [--app NAME] [--x METRIC] [--y METRIC]\n"
       "  ddtr cache stats|verify|clear DIR\n"
-      "  ddtr serve --socket PATH [--cache-dir DIR] [--jobs N]\n"
-      "             [--progress-every S] [--trace FILE]\n"
-      "    long-lived daemon: loads the cache once, accepts submissions\n"
-      "    on the unix socket, re-explores scheduled jobs, drains and\n"
-      "    flushes on SIGTERM/SIGINT\n"
-      "    --progress-every S: stream at most one progress tick per S\n"
-      "              seconds per running job (default 0.25; endpoints\n"
-      "              always sent); advertised to clients in the handshake\n"
-      "    --trace FILE: write the daemon's span timeline (connections,\n"
-      "              jobs, exploration internals) on clean shutdown\n"
-      "  ddtr submit --socket PATH --app " << app_list() << " [--scale S]\n"
-      "              [--packets N] [--seed-offset K] [--greedy]\n"
-      "              [--survivor-cap F] [--jobs N] [--every S]\n"
-      "              [--x METRIC] [--y METRIC] [--log FILE] [--progress]\n"
-      "    --every S: daemon re-explores this study every S seconds\n"
-      "    --log FILE: write the run's result records to FILE\n"
-      "  ddtr status --socket PATH\n"
-      "  ddtr stats --socket PATH [--metrics]\n"
-      "    live daemon introspection: uptime, since-boot cache hit/miss\n"
-      "    counters, scheduler re-runs, and the job table with\n"
-      "    submit/start/finish timestamps; --metrics appends the daemon's\n"
-      "    full metrics-registry dump\n"
-      "  ddtr results --socket PATH --job ID [--log FILE]\n"
-      "  ddtr shutdown --socket PATH\n"
       "  ddtr tracecheck FILE\n"
       "    validate a --trace file: well-formed Chrome trace_event JSON\n"
       "    with balanced begin/end spans per thread and every sim span\n"
@@ -419,6 +379,16 @@ int cmd_explore(const Args& args) {
 
   const core::ExplorationReport& report = session.run();
   if (tracer) {
+    // The registry dump rides along as one instant event, one arg per
+    // instrument ("explore.runs": "counter 1"), so the trace alone shows
+    // the run's counters, gauges and histograms.
+    obs::TraceArgs metrics;
+    std::istringstream lines(obs::registry().render_text());
+    for (std::string kind, name, rest;
+         lines >> kind >> name && std::getline(lines, rest);) {
+      metrics.set(name, kind + rest);
+    }
+    tracer->instant("metrics", "obs", std::move(metrics));
     if (tracer->write_file(*trace_path)) {
       std::cerr << "wrote " << tracer->event_count() << " trace events to "
                 << *trace_path << '\n';
@@ -629,199 +599,6 @@ int cmd_pareto(const Args& args) {
   return 0;
 }
 
-// --- serve: the long-lived exploration daemon and its client -----------
-
-// The running daemon, for the signal handlers. request_stop() is a bare
-// atomic store, so calling it from a handler is safe; the pointer itself
-// is atomic for the same reason.
-std::atomic<serve::Server*> g_serve_server{nullptr};
-
-void on_serve_signal(int) {
-  if (serve::Server* server = g_serve_server.load()) server->request_stop();
-}
-
-int cmd_serve(const Args& args) {
-  serve::ServerOptions options;
-  options.socket_path = args.require("socket");
-  if (const auto dir = args.valued("cache-dir")) options.cache_dir = *dir;
-  if (const auto jobs = args.valued("jobs")) {
-    options.jobs = parse_count_flag("jobs", *jobs);
-  }
-  if (const auto every = args.valued("progress-every")) {
-    options.progress_every_s = parse_double_flag("progress-every", *every);
-    // Bounded above too: "inf" or 1e300 would overflow the steady-clock
-    // duration conversion.
-    if (!std::isfinite(options.progress_every_s) ||
-        options.progress_every_s <= 0.0 || options.progress_every_s > 1e7) {
-      throw std::runtime_error(
-          "flag --progress-every expects seconds in (0, 1e7], got '" +
-          *every + "'");
-    }
-  }
-  options.log = &std::cout;
-  const auto trace_path = args.valued("trace");
-  std::optional<obs::TraceWriter> tracer;
-  if (trace_path) {
-    tracer.emplace();
-    options.trace = &*tracer;
-  }
-
-  serve::Server server(options);
-  server.start();
-  // Drain-and-flush on SIGTERM/SIGINT: in-flight sessions finish, the
-  // persistent cache is compacted, the socket file is removed.
-  g_serve_server.store(&server);
-  std::signal(SIGTERM, on_serve_signal);
-  std::signal(SIGINT, on_serve_signal);
-  server.serve_forever();
-  g_serve_server.store(nullptr);
-  if (tracer) {
-    if (tracer->write_file(*trace_path)) {
-      std::cout << "[serve] wrote " << tracer->event_count()
-                << " trace events to " << *trace_path << '\n';
-    } else {
-      std::cerr << "error: cannot write trace file " << *trace_path << '\n';
-    }
-  }
-  return 0;
-}
-
-// Shared result rendering of `submit` and `results`.
-void print_result(const serve::ResultFrame& result,
-                  const std::optional<std::string>& log_path) {
-  std::cout << "job " << result.job_id << " (" << result.app << "), run "
-            << result.runs << ":\n"
-            << "executed simulations:  " << result.executed << " of "
-            << result.logical << " logical (cache hits " << result.cache_hits
-            << ")\n"
-            << "persistent cache:      loaded " << result.persistent_loaded
-            << ", stored " << result.persistent_stored << '\n'
-            << "survivors after step 1: " << result.survivors << '\n'
-            << "Pareto-optimal combinations: " << result.pareto_count << '\n';
-  if (!result.pareto.empty()) std::cout << result.pareto;
-  if (log_path) {
-    std::ofstream os(*log_path);
-    os << result.records;
-    std::cout << "wrote result records to " << *log_path << '\n';
-  }
-}
-
-int cmd_submit(const Args& args) {
-  const std::string socket = args.require("socket");
-  serve::SubmitRequest request;
-  request.app = args.require("app");
-  if (const auto scale = args.valued("scale")) {
-    request.scale = parse_double_flag("scale", *scale);
-  }
-  if (const auto packets = args.valued("packets")) {
-    request.packets = parse_count_flag("packets", *packets);
-  }
-  if (const auto offset = args.valued("seed-offset")) {
-    request.seed_offset = parse_count_flag("seed-offset", *offset);
-  }
-  request.greedy = args.has("greedy") ? 1 : 0;
-  if (const auto cap = args.valued("survivor-cap")) {
-    request.survivor_cap = parse_double_flag("survivor-cap", *cap);
-  }
-  if (const auto jobs = args.valued("jobs")) {
-    request.jobs = parse_count_flag("jobs", *jobs);
-  }
-  if (const auto every = args.valued("every")) {
-    request.every_s = parse_double_flag("every", *every);
-    // Bounded above too: "inf" or 1e300 would overflow the deadline
-    // arithmetic.
-    if (!std::isfinite(request.every_s) || request.every_s <= 0.0 ||
-        request.every_s > 1e7) {
-      throw std::runtime_error(
-          "flag --every expects seconds in (0, 1e7], got '" + *every + "'");
-    }
-  }
-  if (const auto x = args.valued("x")) request.metric_x = *x;
-  if (const auto y = args.valued("y")) request.metric_y = *y;
-  const auto log_path = args.valued("log");
-
-  serve::Client client(socket);
-  std::cout << "daemon: " << client.hello().warm_entries
-            << " warm records, " << client.hello().warm_traces
-            << " warm traces\n";
-  serve::Client::ProgressFn on_progress;
-  if (args.has("progress")) {
-    on_progress = [](const serve::ProgressFrame& tick) {
-      std::cerr << "[job " << tick.job_id << " step " << tick.step << "] "
-                << tick.done << '/' << tick.total << " simulations\n";
-    };
-  }
-  print_result(client.submit(request, on_progress), log_path);
-  return 0;
-}
-
-int cmd_status(const Args& args) {
-  serve::Client client(args.require("socket"));
-  const serve::StatusReply reply = client.status();
-  std::cout << reply.warm_entries << " warm records, " << reply.jobs.size()
-            << " job" << (reply.jobs.size() == 1 ? "" : "s") << '\n';
-  if (reply.jobs.empty()) return 0;
-  support::TextTable table(
-      {"job", "app", "state", "runs", "last executed", "every_s"});
-  for (const serve::JobStatus& job : reply.jobs) {
-    table.add_row({std::to_string(job.id), job.app, job.state,
-                   std::to_string(job.runs),
-                   std::to_string(job.last_executed),
-                   job.every_s > 0.0 ? support::format_double(job.every_s, 3)
-                                     : "-"});
-  }
-  table.print(std::cout);
-  return 0;
-}
-
-// ddtr stats — live introspection of a running daemon: uptime, cache
-// behavior since boot, scheduler activity, and the full job lifecycle
-// table. With --metrics, the daemon's metrics-registry dump rides along.
-int cmd_stats(const Args& args) {
-  serve::Client client(args.require("socket"));
-  const serve::StatsReply reply = client.stats(args.has("metrics"));
-  const std::uint64_t hit_total = reply.cache_hits + reply.cache_misses;
-  const double hit_rate =
-      hit_total == 0 ? 0.0
-                     : static_cast<double>(reply.cache_hits) /
-                           static_cast<double>(hit_total);
-  support::TextTable table({"property", "value"});
-  table.add_row({"uptime_s",
-                 support::format_double(
-                     static_cast<double>(reply.uptime_ms) / 1000.0, 3)});
-  table.add_row({"warm records", std::to_string(reply.warm_entries)});
-  table.add_row({"sessions served", std::to_string(reply.sessions_served)});
-  table.add_row({"cache hits (boot)", std::to_string(reply.cache_hits)});
-  table.add_row({"cache misses (boot)", std::to_string(reply.cache_misses)});
-  table.add_row({"cache hit rate", support::format_percent(hit_rate)});
-  table.add_row({"jobs submitted", std::to_string(reply.jobs_submitted)});
-  table.add_row({"scheduler re-runs",
-                 std::to_string(reply.scheduler_reruns)});
-  table.print(std::cout);
-  if (!reply.jobs.empty()) {
-    std::cout << '\n';
-    support::TextTable jobs({"job", "app", "state", "runs", "last executed",
-                             "every_s", "submit_ms", "start_ms",
-                             "finish_ms"});
-    for (const serve::JobStats& job : reply.jobs) {
-      jobs.add_row({std::to_string(job.id), job.app, job.state,
-                    std::to_string(job.runs),
-                    std::to_string(job.last_executed),
-                    job.every_s > 0.0
-                        ? support::format_double(job.every_s, 3)
-                        : "-",
-                    std::to_string(job.submit_ms),
-                    std::to_string(job.start_ms),
-                    std::to_string(job.finish_ms)});
-    }
-    jobs.print(std::cout);
-  }
-  if (!reply.metrics_text.empty()) {
-    std::cout << "\nmetrics:\n" << reply.metrics_text;
-  }
-  return 0;
-}
-
 // ddtr tracecheck FILE — the CI-facing validator for --trace output:
 // strict JSON, the trace_event document shape, balanced begin/end spans
 // per (pid, tid), and a combo and scenario label on every sim span. Exit
@@ -842,22 +619,6 @@ int cmd_tracecheck(const Args& args) {
     return 1;
   }
   std::cout << "tracecheck: " << args.positional[0] << ": OK\n";
-  return 0;
-}
-
-int cmd_results(const Args& args) {
-  const std::string socket = args.require("socket");
-  const std::size_t job_id = parse_count_flag("job", args.require("job"));
-  serve::Client client(socket);
-  print_result(client.results(job_id), args.valued("log"));
-  return 0;
-}
-
-int cmd_shutdown(const Args& args) {
-  serve::Client client(args.require("socket"));
-  const serve::ShutdownAck ack = client.shutdown();
-  std::cout << "daemon draining after " << ack.sessions_served
-            << " session" << (ack.sessions_served == 1 ? "" : "s") << '\n';
   return 0;
 }
 
@@ -892,20 +653,6 @@ const std::vector<Command>& commands() {
        [](const Args& a) { return cmd_lint(a); }},
       {"cache", {},
        [](const Args& a) { return cmd_cache(a); }},
-      {"serve", {"socket", "cache-dir", "jobs", "progress-every", "trace"},
-       [](const Args& a) { return cmd_serve(a); }},
-      {"submit",
-       {"socket", "app", "scale", "packets", "seed-offset", "greedy",
-        "survivor-cap", "jobs", "every", "x", "y", "log", "progress"},
-       [](const Args& a) { return cmd_submit(a); }},
-      {"status", {"socket"},
-       [](const Args& a) { return cmd_status(a); }},
-      {"stats", {"socket", "metrics"},
-       [](const Args& a) { return cmd_stats(a); }},
-      {"results", {"socket", "job", "log"},
-       [](const Args& a) { return cmd_results(a); }},
-      {"shutdown", {"socket"},
-       [](const Args& a) { return cmd_shutdown(a); }},
       {"tracecheck", {},
        [](const Args& a) { return cmd_tracecheck(a); }},
   };

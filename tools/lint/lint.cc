@@ -8,7 +8,6 @@
 #include <map>
 #include <optional>
 #include <ostream>
-#include <regex>
 #include <set>
 #include <sstream>
 #include <string_view>
@@ -46,47 +45,115 @@ bool determinism_function(const std::string& name) {
 }
 
 bool decoder_file(const std::string& path) {
-  return path_has(path, "serve/protocol") || path_has(path, "support/binary_io");
+  return path_has(path, "support/binary_io");
 }
 
 // --- Rule helpers -------------------------------------------------------
+//
+// The rules match identifiers over the scrubbed code (comments and
+// literals already blanked), so a token test is exact: a word counts only
+// where no identifier character ([A-Za-z0-9_]) touches it on either side.
 
+bool ident_char(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+         (c >= '0' && c <= '9') || c == '_';
+}
+
+std::size_t skip_blanks(std::string_view text, std::size_t i) {
+  while (i < text.size() &&
+         std::isspace(static_cast<unsigned char>(text[i])) != 0) {
+    ++i;
+  }
+  return i;
+}
+
+// Offset of the first whole-identifier `word` in `text` at or after
+// `from`, or npos.
+std::size_t find_word(std::string_view text, std::string_view word,
+                      std::size_t from = 0) {
+  for (std::size_t p = text.find(word, from); p != std::string_view::npos;
+       p = text.find(word, p + 1)) {
+    const std::size_t end = p + word.size();
+    if ((p == 0 || !ident_char(text[p - 1])) &&
+        (end == text.size() || !ident_char(text[end]))) {
+      return p;
+    }
+  }
+  return std::string_view::npos;
+}
+
+// True when `word` occurs as a whole identifier followed, when `call` is
+// set, by `(` (blanks allowed in between).
+bool has_word(std::string_view text, std::string_view word, bool call) {
+  for (std::size_t p = find_word(text, word); p != std::string_view::npos;
+       p = find_word(text, word, p + 1)) {
+    if (!call) return true;
+    const std::size_t next = skip_blanks(text, p + word.size());
+    if (next < text.size() && text[next] == '(') return true;
+  }
+  return false;
+}
+
+// Fires when any of `words` occurs (as a call when `call` is set); one
+// finding per line however many of them do.
 struct Matcher {
-  std::regex re;
+  std::vector<std::string_view> words;
+  bool call;
   const char* what;
+
+  bool matches(std::string_view text) const {
+    return std::any_of(words.begin(), words.end(), [&](std::string_view w) {
+      return has_word(text, w, call);
+    });
+  }
 };
 
 const std::vector<Matcher>& determinism_matchers() {
-  static const std::vector<Matcher> m = [] {
-    std::vector<Matcher> v;
-    v.push_back({std::regex(R"(\brand\s*\()"), "rand()"});
-    v.push_back({std::regex(R"(\bsrand\s*\()"), "srand()"});
-    v.push_back({std::regex(R"(\btime\s*\()"), "time()"});
-    v.push_back({std::regex(R"(system_clock)"), "system_clock"});
-    v.push_back({std::regex(R"(\bgetpid\b)"), "getpid()"});
-    v.push_back({std::regex(R"(random_device)"), "std::random_device"});
-    return v;
-  }();
+  static const std::vector<Matcher> m = {
+      {{"rand"}, true, "rand()"},
+      {{"srand"}, true, "srand()"},
+      {{"time"}, true, "time()"},
+      {{"system_clock"}, false, "system_clock"},
+      {{"getpid"}, false, "getpid()"},
+      {{"random_device"}, false, "std::random_device"},
+  };
   return m;
 }
 
 const std::vector<Matcher>& allocation_matchers() {
-  static const std::vector<Matcher> m = [] {
-    std::vector<Matcher> v;
-    v.push_back({std::regex(R"(\bnew\b)"), "new"});
-    v.push_back({std::regex(R"(\bdelete\b)"), "delete"});
-    v.push_back({std::regex(R"(\bmalloc\b|\bcalloc\b|\brealloc\b)"),
-                 "malloc-family allocation"});
-    v.push_back({std::regex(R"(\bfree\s*\()"), "free()"});
-    return v;
-  }();
+  static const std::vector<Matcher> m = {
+      {{"new"}, false, "new"},
+      {{"delete"}, false, "delete"},
+      {{"malloc", "calloc", "realloc"}, false, "malloc-family allocation"},
+      {{"free"}, true, "free()"},
+  };
   return m;
 }
 
 // `= delete;` declares a deleted function; only `delete expr` frees.
-bool deleted_function_line(const std::string& line) {
-  static const std::regex re(R"(=\s*delete\b)");
-  return std::regex_search(line, re);
+bool deleted_function_line(std::string_view line) {
+  for (std::size_t p = find_word(line, "delete"); p != std::string_view::npos;
+       p = find_word(line, "delete", p + 1)) {
+    std::size_t before = p;
+    while (before > 0 &&
+           std::isspace(static_cast<unsigned char>(line[before - 1])) != 0) {
+      --before;
+    }
+    if (before > 0 && line[before - 1] == '=') return true;
+  }
+  return false;
+}
+
+// `using namespace` (at least one blank between the two words).
+bool using_namespace_line(std::string_view line) {
+  for (std::size_t p = find_word(line, "using"); p != std::string_view::npos;
+       p = find_word(line, "using", p + 1)) {
+    const std::size_t next = skip_blanks(line, p + 5);
+    if (next > p + 5 && find_word(line, "namespace", next) == next) {
+      return true;
+    }
+  }
+  return false;
 }
 
 // --- The per-file rules -------------------------------------------------
@@ -100,9 +167,8 @@ void rule_header_hygiene(const std::string& path, const Scrubbed& s,
                    "add `#pragma once` as the first directive "
                    "(autofixable: `ddtr lint --fix`)"});
   }
-  static const std::regex using_ns(R"(\busing\s+namespace\b)");
   for (std::size_t line = 1; line <= s.line_off.size(); ++line) {
-    if (std::regex_search(code_line(s, line), using_ns)) {
+    if (using_namespace_line(code_line(s, line))) {
       out.push_back({path, line, "header-hygiene",
                      "`using namespace` in a header injects the namespace "
                      "into every includer",
@@ -117,7 +183,7 @@ void rule_allocation_policy(const std::string& path, const Scrubbed& s,
   for (std::size_t line = 1; line <= s.line_off.size(); ++line) {
     const std::string text = code_line(s, line);
     for (const Matcher& m : allocation_matchers()) {
-      if (!std::regex_search(text, m.re)) continue;
+      if (!m.matches(text)) continue;
       if (m.what == std::string_view("delete") && deleted_function_line(text))
         continue;
       out.push_back(
@@ -145,7 +211,7 @@ void rule_determinism(const std::string& path, const Scrubbed& s,
   auto check_line = [&](std::size_t line) {
     const std::string text = code_line(s, line);
     for (const Matcher& m : determinism_matchers()) {
-      if (!std::regex_search(text, m.re)) continue;
+      if (!m.matches(text)) continue;
       out.push_back(
           {path, line, "determinism",
            std::string(m.what) +
@@ -171,9 +237,8 @@ void rule_determinism(const std::string& path, const Scrubbed& s,
 void rule_durability(const std::string& path, const Scrubbed& s,
                      const std::vector<FuncDef>& defs,
                      std::vector<Finding>& out) {
-  static const std::regex rename_re(R"(\brename\s*\()");
   for (std::size_t line = 1; line <= s.line_off.size(); ++line) {
-    if (!std::regex_search(code_line(s, line), rename_re)) continue;
+    if (!has_word(code_line(s, line), "rename", true)) continue;
     const std::size_t offset = s.line_off[line - 1];
     const FuncDef* fn = enclosing_function(defs, offset);
     const std::string body =
@@ -347,13 +412,25 @@ AccountingState read_accounting_state(const std::string& repo_root) {
   const fs::path root(repo_root);
 
   if (auto kinds = read_file_text((root / "src" / "ddt" / "kinds.h").string())) {
-    static const std::regex version_re(
-        R"(kDdtAccountingVersion\s*=\s*(\d+))");
-    std::smatch m;
-    if (std::regex_search(*kinds, m, version_re)) {
+    // The first `kDdtAccountingVersion = <digits>` (blanks allowed
+    // around the `=`).
+    static constexpr std::string_view kName = "kDdtAccountingVersion";
+    const std::string& text = *kinds;
+    for (std::size_t p = text.find(kName);
+         p != std::string::npos && !state.version_found;
+         p = text.find(kName, p + 1)) {
+      std::size_t digits = skip_blanks(text, p + kName.size());
+      if (digits >= text.size() || text[digits] != '=') continue;
+      digits = skip_blanks(text, digits + 1);
+      std::size_t end = digits;
+      while (end < text.size() &&
+             std::isdigit(static_cast<unsigned char>(text[end])) != 0) {
+        ++end;
+      }
+      if (end == digits) continue;
       state.version_found = true;
-      state.tree_version =
-          static_cast<std::uint32_t>(std::stoul(m[1].str()));
+      state.tree_version = static_cast<std::uint32_t>(
+          std::stoul(text.substr(digits, end - digits)));
     }
   }
 

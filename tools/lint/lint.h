@@ -15,7 +15,7 @@
 // `// ddtr-lint: allow-file(<rule>)` anywhere in it):
 //
 //   decoder-safety     decode_* functions (and the read_* primitives in
-//                      support/binary_io, serve/protocol) must check
+//                      support/binary_io) must check
 //                      every raw stream read and, for payload decoders,
 //                      verify exact consumption via at_end().
 //   durability         a function that calls rename() must also call

@@ -16,8 +16,8 @@ bool guard_type(std::string_view tok) {
   return tok == "lock_guard" || tok == "unique_lock" || tok == "scoped_lock";
 }
 
-// `<module>/<stem>` of a repo-relative path: "src/serve/server.cc" →
-// "serve/server". Header/impl pairs share a stem, so a mutex locked in
+// `<module>/<stem>` of a repo-relative path: "src/core/explorer.cc" →
+// "core/explorer". Header/impl pairs share a stem, so a mutex locked in
 // both files is one node.
 std::string file_qualifier(const std::string& path) {
   std::string p = normalize_path(path);

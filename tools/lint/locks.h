@@ -1,8 +1,8 @@
 // The lock-order discipline checker — ddtr_lint's concurrency pass.
 //
-// The daemon, the scheduler thread, the thread pool, both caches, the
-// trace store and the obs registry each hold a mutex; TSan only sees the
-// interleavings a test happens to produce. This pass reads the locking
+// The thread pool, both caches, the trace store and the obs registry
+// each hold a mutex; TSan only sees the interleavings a test happens to
+// produce. This pass reads the locking
 // *discipline* statically: every `lock_guard`/`unique_lock`/`scoped_lock`
 // over a named mutex is an acquisition event, guard lifetimes follow the
 // brace scopes they were declared in, and nested acquisitions define a
