@@ -5,31 +5,14 @@
 // simulation *counts* of Table 1 are identical at every scale).
 #pragma once
 
-#include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include <thread>
-
 #include "api/ddtr.h"
-#include "ddt/kinds.h"
-#include "support/thread_pool.h"
-
-// Build provenance, injected by CMake for bench targets (see the bench
-// foreach in CMakeLists.txt). The fallbacks keep bench_common.h usable
-// from contexts that do not define them (tests including this header).
-#ifndef DDTR_GIT_SHA
-#define DDTR_GIT_SHA "unknown"
-#endif
-#ifndef DDTR_BUILD_FLAGS
-#define DDTR_BUILD_FLAGS ""
-#endif
 
 namespace ddtr::bench {
 
@@ -41,135 +24,19 @@ inline double bench_scale() {
   return 1.0;
 }
 
-// Simulation lanes used by the shared all_reports() explorations
-// (DDTR_BENCH_JOBS; default 1 so paper-reproduction runs stay serial).
-// Digits only: atol would turn a typo'd value into 0 = "one lane per
-// hardware thread", silently un-serializing every bench wall clock.
-inline std::size_t bench_jobs() {
-  if (const char* env = std::getenv("DDTR_BENCH_JOBS")) {
-    const std::string value(env);
-    if (!value.empty() &&
-        value.find_first_not_of("0123456789") == std::string::npos) {
-      return static_cast<std::size_t>(std::stoul(value));
-    }
-    std::cerr << "[ddtr] ignoring non-numeric DDTR_BENCH_JOBS='" << value
-              << "' (using 1)\n";
-  }
-  return 1;
-}
-
-// Persistent simulation-cache directory for the shared explorations
-// (DDTR_BENCH_CACHE_DIR; default empty = in-memory caching only). With a
-// warm cache a bench's explorations replay previous runs' records and
-// execute zero simulations; the emitted reports are byte-identical either
-// way, so trajectory JSON stays comparable across cold and warm runs.
-inline std::string bench_cache_dir() {
-  if (const char* env = std::getenv("DDTR_BENCH_CACHE_DIR")) return env;
-  return {};
-}
-
 inline core::CaseStudyOptions bench_options() {
   return core::CaseStudyOptions{}.scaled(bench_scale());
 }
 
-// Minimal JSON string escaping for the provenance fields: compiler
-// version strings are free-form text and must not be able to break the
-// object framing.
-inline std::string bench_json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-      continue;
-    }
-    out.push_back(c);
-  }
-  return out;
-}
-
-inline std::string bench_compiler_id() {
-#if defined(__clang__)
-  return std::string("clang ") + __clang_version__;
-#elif defined(__GNUC__)
-  return std::string("gcc ") + __VERSION__;
-#else
-  return "unknown";
-#endif
-}
-
-// Machine-readable bench results: one JSON object per bench run, written
-// to stdout and appended (one object per line) to $DDTR_BENCH_JSON when
-// set — the interchange format for BENCH_*.json trajectories.
-class BenchJson {
- public:
-  explicit BenchJson(std::string bench_name) {
-    os_ << "{\"bench\":\"" << bench_name << "\",\"scale\":" << bench_scale();
-    // Provenance: a trajectory point is only comparable to another one
-    // when the commit, compiler, flags and accounting version match —
-    // every line records them instead of relying on file names to.
-    os_ << ",\"meta\":{\"git_sha\":\"" << bench_json_escape(DDTR_GIT_SHA)
-        << "\",\"compiler\":\"" << bench_json_escape(bench_compiler_id())
-        << "\",\"flags\":\"" << bench_json_escape(DDTR_BUILD_FLAGS)
-        << "\",\"hw_threads\":" << std::thread::hardware_concurrency()
-        << ",\"accounting_version\":" << ddt::kDdtAccountingVersion << '}';
-  }
-
-  BenchJson& field(const std::string& name, double value) {
-    os_ << ",\"" << name << "\":" << value;
-    return *this;
-  }
-  BenchJson& field(const std::string& name, std::uint64_t value) {
-    os_ << ",\"" << name << "\":" << value;
-    return *this;
-  }
-  BenchJson& field(const std::string& name, bool value) {
-    os_ << ",\"" << name << "\":" << (value ? "true" : "false");
-    return *this;
-  }
-  BenchJson& field(const std::string& name, const std::string& value) {
-    os_ << ",\"" << name << "\":\"" << value << '"';
-    return *this;
-  }
-  // Opaque pre-rendered JSON (arrays / nested objects).
-  BenchJson& raw(const std::string& name, const std::string& json) {
-    os_ << ",\"" << name << "\":" << json;
-    return *this;
-  }
-
-  std::string str() const { return os_.str() + "}"; }
-
-  // Prints the object and appends it to $DDTR_BENCH_JSON if set.
-  void emit() const {
-    const std::string line = str();
-    std::cout << line << '\n';
-    if (const char* path = std::getenv("DDTR_BENCH_JSON")) {
-      std::ofstream os(path, std::ios::app);
-      if (os) os << line << '\n';
-    }
-  }
-
- private:
-  std::ostringstream os_;
-};
-
 // Runs (and memoizes) the full methodology on every registered workload,
-// in registration order (the four built-ins: the paper's Table 1 order).
-// The DDTR_BENCH_JOBS lane budget is split two ways: case studies fan
-// over the thread pool (whole explorations in parallel), and each
-// exploration gets the remaining lanes for its own simulation fan-out.
-// Reports land in index-addressed slots, so their order — and, lanes
-// being output-invariant, their content — is identical at every budget.
+// serially and in registration order (the four built-ins: the paper's
+// Table 1 order).
 inline const std::vector<core::ExplorationReport>& all_reports() {
   static const std::vector<core::ExplorationReport> reports = [] {
     // t0 covers study construction too (trace generation through the
-    // shared net::TraceStore), keeping "total exploration time"
-    // comparable with pre-registry runs that timed the same window.
+    // shared net::TraceStore).
     const auto t0 = std::chrono::steady_clock::now();
 
-    // Studies are built serially up front, so the parallel phase below
-    // replays ready-made traces only.
     std::vector<core::CaseStudy> studies;
     for (const std::string& name : api::registry().names()) {
       studies.push_back(api::registry().make_study(name, bench_options()));
@@ -180,45 +47,18 @@ inline const std::vector<core::ExplorationReport>& all_reports() {
     }
     std::cerr << "...\n";
 
-    const std::size_t lanes =
-        support::ThreadPool::resolve_jobs(bench_jobs());
-    const std::size_t across =
-        std::max<std::size_t>(1, std::min(lanes, studies.size()));
-    const std::size_t within = std::max<std::size_t>(1, lanes / across);
-
-    std::vector<core::ExplorationReport> out(studies.size());
-    support::parallel_for(across, studies.size(), [&](std::size_t i) {
-      api::Exploration session(std::move(studies[i]));
-      out[i] = session.jobs(within).cache_dir(bench_cache_dir()).run();
-    });
+    std::vector<core::ExplorationReport> out;
+    for (core::CaseStudy& study : studies) {
+      out.push_back(api::Exploration(std::move(study)).run());
+    }
     const auto elapsed = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - t0)
                              .count();
     std::cerr << "[ddtr] total exploration time: " << elapsed << " s (scale "
-              << bench_scale() << ", " << across << " x " << within
-              << " lanes)\n";
+              << bench_scale() << ")\n";
     return out;
   }();
   return reports;
 }
 
-// Adds the simulation-cache accounting of `reports` (in-memory hit/miss
-// plus persistent load/store counters, summed) to a bench JSON object, so
-// trajectory files record whether a run was cache-warm.
-inline BenchJson& add_cache_fields(
-    BenchJson& json, const std::vector<core::ExplorationReport>& reports) {
-  std::uint64_t hits = 0, misses = 0, loaded = 0, stored = 0;
-  for (const core::ExplorationReport& report : reports) {
-    hits += report.cache_hits;
-    misses += report.cache_misses;
-    loaded += report.persistent_loaded;
-    stored += report.persistent_stored;
-  }
-  return json.field("cache_hits", hits)
-      .field("cache_misses", misses)
-      .field("persistent_loaded", loaded)
-      .field("persistent_stored", stored);
-}
-
 }  // namespace ddtr::bench
-

@@ -3,9 +3,9 @@
 // Sweeps every DdtKind under both allocation policies (arena pool vs
 // per-node heap) across the access patterns that dominate the four case
 // studies, and reports wall time plus charged memory accesses per
-// operation. One BenchJson line per (kind, pattern, policy) cell plus a
-// summary line with the arena-vs-heap speedup on the insert/remove-heavy
-// churn pattern — the number that justifies making the arena the default.
+// operation. One table row per (kind, pattern) cell, plus a stderr summary
+// of the arena-vs-heap speedup on the insert/remove-heavy churn pattern —
+// the number that justifies making the arena the default.
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -14,8 +14,8 @@
 #include <string>
 #include <vector>
 
-#include "bench_common.h"
 #include "ddt/factory.h"
+#include "support/table.h"
 
 namespace {
 
@@ -156,25 +156,21 @@ bool pool_backed(ddt::DdtKind kind) {
 }  // namespace
 
 int main() {
+  // Charged accesses do not depend on the allocation policy, so one
+  // accesses/op column serves both.
+  support::TextTable table(
+      {"kind", "pattern", "arena ns/op", "heap ns/op", "accesses/op"});
   std::vector<double> churn_ratios;
   for (const ddt::DdtKind kind : ddt::kAllDdtKinds) {
     for (const Pattern& pattern : kPatterns) {
-      CellResult arena;
-      CellResult heap;
-      for (const auto policy :
-           {support::AllocPolicy::kArena, support::AllocPolicy::kHeap}) {
-        const CellResult result = measure(pattern, kind, policy);
-        (policy == support::AllocPolicy::kArena ? arena : heap) = result;
-        bench::BenchJson json("ddt_micro");
-        json.field("kind", std::string(ddt::to_string(kind)))
-            .field("pattern", std::string(pattern.name))
-            .field("policy", policy == support::AllocPolicy::kArena
-                                 ? std::string("arena")
-                                 : std::string("heap"))
-            .field("ns_per_op", result.ns_per_op)
-            .field("accesses_per_op", result.accesses_per_op);
-        json.emit();
-      }
+      const CellResult arena =
+          measure(pattern, kind, support::AllocPolicy::kArena);
+      const CellResult heap =
+          measure(pattern, kind, support::AllocPolicy::kHeap);
+      table.add_row({std::string(ddt::to_string(kind)), pattern.name,
+                     support::format_double(arena.ns_per_op),
+                     support::format_double(heap.ns_per_op),
+                     support::format_double(arena.accesses_per_op)});
       if (pool_backed(kind) && std::string(pattern.name) == "queue_churn") {
         const double ratio = heap.ns_per_op / arena.ns_per_op;
         churn_ratios.push_back(ratio);
@@ -196,13 +192,7 @@ int main() {
       churn_ratios.empty()
           ? 1.0
           : std::exp(log_sum / static_cast<double>(churn_ratios.size()));
-  bench::BenchJson summary("ddt_micro_summary");
-  summary.field("pattern", std::string("queue_churn"))
-      .field("pool_backed_kinds",
-             static_cast<std::uint64_t>(churn_ratios.size()))
-      .field("arena_speedup_geomean", geomean)
-      .field("arena_speedup_min", min_ratio);
-  summary.emit();
+  table.print(std::cout);
   std::cerr << "[ddt_micro] arena vs heap on queue_churn: geomean "
             << geomean << "x, min " << min_ratio << "x over "
             << churn_ratios.size() << " pool-backed kinds\n";

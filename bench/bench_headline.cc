@@ -95,12 +95,5 @@ int main() {
             << "max performance spread among Pareto-optimal choices: "
             << support::format_percent(max_time_span)
             << " (paper: up to 48%)\n\n";
-
-  bench::BenchJson json("bench_headline");
-  json.field("best_energy_saving", best_energy_saving)
-      .field("best_time_saving", best_time_saving)
-      .field("max_pareto_energy_span", max_energy_span)
-      .field("max_pareto_time_span", max_time_span);
-  bench::add_cache_fields(json, bench::all_reports()).emit();
   return 0;
 }

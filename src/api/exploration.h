@@ -34,7 +34,6 @@ class Exploration {
   Exploration& survivor_cap(double fraction);
   Exploration& champions_per_metric(std::size_t count);
   Exploration& step1_policy(core::Step1Policy policy);
-  Exploration& memoize_simulations(bool enabled);
   // Persist the simulation cache across runs in this directory (empty =
   // in-memory only). A rerun with a warm cache executes zero simulations
   // and produces a byte-identical report; see

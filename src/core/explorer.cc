@@ -371,20 +371,19 @@ ExplorationReport ExplorationEngine::explore(const CaseStudy& study) const {
   // through SpanScope, so the untraced path pays nothing.
   obs::SpanScope explore_span(options_.trace_sink, "explore", "explore");
 
-  // The per-run memoization cache (null when memoization is off).
-  SimulationCache local_cache;
-  SimulationCache* cache_ptr =
-      options_.memoize_simulations ? &local_cache : nullptr;
+  // The per-run memoization cache: step 2 replays the representative
+  // scenario's survivors from step 1's records.
+  SimulationCache cache;
   // Cross-run persistence: seed the in-memory cache from the cache file
   // up front; new records are appended after the run. Content-hash keys
   // keep this invisible in the records — warm, cold or disabled, the
   // report bytes are identical; only the executed counts change.
   std::optional<PersistentSimulationCache> persistent;
-  if (cache_ptr && !options_.cache_dir.empty()) {
+  if (!options_.cache_dir.empty()) {
     persistent.emplace(options_.cache_dir);
     obs::SpanScope load_span(options_.trace_sink, "cache.load", "cache");
     report.persistent_loaded = persistent->load();
-    persistent->seed(*cache_ptr);
+    persistent->seed(cache);
     load_span.arg("records", report.persistent_loaded);
   }
   // One pool for the whole run: spawning lanes once, not per step.
@@ -394,8 +393,8 @@ ExplorationReport ExplorationEngine::explore(const CaseStudy& study) const {
     obs::SpanScope span(options_.trace_sink, "step1", "explore");
     report.step1_records =
         options_.step1_policy == Step1Policy::kGreedyPerSlot
-            ? run_step1_greedy_fan(study, cache_ptr, pool)
-            : run_step1_fan(study, cache_ptr, pool);
+            ? run_step1_greedy_fan(study, &cache, pool)
+            : run_step1_fan(study, &cache, pool);
     span.arg("records", report.step1_records.size());
   }
   {
@@ -408,29 +407,24 @@ ExplorationReport ExplorationEngine::explore(const CaseStudy& study) const {
         .arg("survivors", report.survivors.size());
   }
   report.step1_simulations = report.step1_records.size();
-  const SimulationCache::Stats after_step1 =
-      cache_ptr ? cache_ptr->stats() : SimulationCache::Stats{};
-  report.step1_executed_simulations =
-      cache_ptr ? after_step1.misses : report.step1_simulations;
+  const SimulationCache::Stats after_step1 = cache.stats();
+  report.step1_executed_simulations = after_step1.misses;
 
   {
     obs::SpanScope span(options_.trace_sink, "step2", "explore");
     report.step2_records =
-        run_step2_fan(study, report.survivors, cache_ptr, pool);
+        run_step2_fan(study, report.survivors, &cache, pool);
     span.arg("records", report.step2_records.size());
   }
   report.step2_simulations = report.step2_records.size();
-  const SimulationCache::Stats after_step2 =
-      cache_ptr ? cache_ptr->stats() : SimulationCache::Stats{};
-  report.step2_executed_simulations =
-      cache_ptr ? after_step2.misses - after_step1.misses
-                : report.step2_simulations;
+  const SimulationCache::Stats after_step2 = cache.stats();
+  report.step2_executed_simulations = after_step2.misses - after_step1.misses;
   report.cache_hits = after_step2.hits;
   report.cache_misses = after_step2.misses;
 
   if (persistent) {
     obs::SpanScope store_span(options_.trace_sink, "cache.store", "cache");
-    report.persistent_stored = persistent->store_new(*cache_ptr);
+    report.persistent_stored = persistent->store_new(cache);
     store_span.arg("stored", report.persistent_stored);
   }
 

@@ -86,14 +86,9 @@ struct ExplorationOptions {
   // any lane count. 1 = serial (no threads); 0 = one lane per hardware
   // thread.
   std::size_t jobs = 1;
-  // Memoize simulate() results within one explore() call so step 2 replays
-  // the representative scenario's survivors from step 1's records instead
-  // of re-simulating them (the representative scenario then costs step 2
-  // zero executed simulations).
-  bool memoize_simulations = true;
-  // When non-empty (and memoize_simulations is on), the simulation cache
-  // persists across runs in this directory: loaded before step 1, appended
-  // after step 3 with whatever this run had to execute. Keys are content
+  // When non-empty, explore()'s simulation cache persists across runs in
+  // this directory: loaded before step 1, appended after step 3 with
+  // whatever this run had to execute. Keys are content
   // hashes (trace content + energy-model fingerprint, see
   // SimulationCache::key_of), so reports stay byte-identical whether the
   // cache is warm, cold or disabled — a fully warm rerun executes zero
@@ -122,9 +117,10 @@ struct ExplorationReport {
   // record, whether it was executed or replayed from the cache).
   std::size_t step1_simulations = 0;
   std::size_t step2_simulations = 0;
-  // Simulations actually executed per step (cache hits excluded). With
-  // memoization on, step2_executed_simulations drops by one per survivor:
-  // the whole representative scenario is replayed from step 1's records.
+  // Simulations actually executed per step (cache hits excluded).
+  // step2_executed_simulations is one per survivor lower than
+  // step2_simulations: the whole representative scenario is replayed from
+  // step 1's records.
   std::size_t step1_executed_simulations = 0;
   std::size_t step2_executed_simulations = 0;
   // Simulation-cache accounting across the whole explore() call.
@@ -166,7 +162,7 @@ struct ExplorationReport {
       const std::string& label) const;
   // The step-1 + step-2 records as one serialized ResultLog text — the
   // single definition of "byte-identical reports" used by the
-  // determinism bench and the API equivalence tests.
+  // determinism tests, the benchmark oracle and the API equivalence tests.
   std::string serialized_records() const;
 };
 

@@ -45,10 +45,10 @@ PcacheMetrics& pcache_metrics() {
   return m;
 }
 
-// Serializes cache-file I/O within the process: concurrent explorations
-// (e.g. bench_common fanning case studies over the thread pool) share one
-// cache directory and may share one PersistentSimulationCache. Writers in
-// other processes are excluded by DirLock below.
+// Serializes cache-file I/O within the process: concurrent API sessions
+// (api::Exploration runs on different threads with the same cache_dir)
+// each load and append the same cache file. Writers in other processes
+// are excluded by DirLock below.
 std::mutex& io_mutex() {
   static std::mutex mu;
   return mu;

@@ -38,7 +38,7 @@ class OpenHashContainer final : public Container<T> {
 
   ~OpenHashContainer() override {
     release_data();
-    // pool_ destructor releases the index chunks.
+    release_index();
   }
 
   DdtKind kind() const noexcept override { return DdtKind::kOpenHash; }
@@ -135,8 +135,7 @@ class OpenHashContainer final : public Container<T> {
     data_.clear();
     data_.shrink_to_fit();
     reserved_ = 0;
-    chunks_.clear();
-    pool_.release();
+    release_index();
     dirty_ = false;
   }
 
@@ -244,6 +243,17 @@ class OpenHashContainer final : public Container<T> {
   void release_data() {
     if (reserved_ != 0) this->count_free(reserved_ * sizeof(T));
     reserved_ = 0;
+  }
+
+  // Drops the index. Under kHeap each chunk is its own heap block, which
+  // Pool::release() does not track, so each one is destroyed; under
+  // kArena the chunks go back with the pool's slabs.
+  void release_index() {
+    if (pool_.policy() == support::AllocPolicy::kHeap) {
+      for (SlotChunk* chunk : chunks_) pool_.destroy(chunk);
+    }
+    chunks_.clear();
+    pool_.release();
   }
 
   std::vector<T> data_;

@@ -3,6 +3,7 @@
 // MemoryProfile charging) underpin all footprint numbers downstream.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "ddt/factory.h"
@@ -116,6 +117,42 @@ TEST(Arena, ListContainerArenaBalancesOnClear) {
   EXPECT_EQ(profile.counters().live_bytes, 0u);
   EXPECT_EQ(profile.counters().allocations,
             profile.counters().deallocations);
+}
+
+std::uint64_t rec_key(const Rec& r) { return r.a; }
+
+TEST(Arena, EveryKeyedKindBalancesUnderBothPolicies) {
+  // A keyed container that has built (and, after a middle erase, rebuilt)
+  // its lookup structures must return every byte it charged once it is
+  // destroyed, under both allocation policies; the clear() variant checks
+  // the same for a cleared-and-refilled container.
+  for (const ddt::DdtKind kind : ddt::kAllDdtKinds) {
+    for (const auto policy :
+         {support::AllocPolicy::kArena, support::AllocPolicy::kHeap}) {
+      for (const bool with_clear : {false, true}) {
+        SCOPED_TRACE(std::string(ddt::to_string(kind)) +
+                     (policy == support::AllocPolicy::kHeap ? " heap"
+                                                            : " arena") +
+                     (with_clear ? " clear" : ""));
+        prof::MemoryProfile profile;
+        {
+          auto c = ddt::make_container<Rec>(kind, profile, &rec_key, policy);
+          for (std::uint64_t i = 0; i < 100; ++i) c->push_back({i, i});
+          EXPECT_EQ(c->find_key(50), 50u);
+          c->erase(0);
+          EXPECT_EQ(c->find_key(50), 49u);
+          if (with_clear) {
+            c->clear();
+            for (std::uint64_t i = 0; i < 10; ++i) c->push_back({i, i});
+            EXPECT_EQ(c->find_key(5), 5u);
+          }
+        }
+        EXPECT_EQ(profile.counters().live_bytes, 0u);
+        EXPECT_EQ(profile.counters().allocations,
+                  profile.counters().deallocations);
+      }
+    }
+  }
 }
 
 }  // namespace

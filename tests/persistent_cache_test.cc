@@ -4,7 +4,7 @@
 // (zero executed simulations, byte-identical report), round-trips through
 // the cache file, tolerance of corrupt / truncated / stale-version
 // files (including a seeded byte-flip and truncation sweep), several
-// writers (objects and processes) sharing one directory, and the
+// writers (objects, threads and processes) sharing one directory, and the
 // `ddtr cache` inspection tools.
 #include <gtest/gtest.h>
 
@@ -15,6 +15,7 @@
 #include <iterator>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -467,6 +468,37 @@ TEST_F(PersistentCacheTest, ConcurrentWriterProcessesKeepEveryEntry) {
   EXPECT_EQ(reader.load(), kWriters * kCalls * kPerCall);
   EXPECT_EQ(reader.load_stats().corrupt_entries, 0u);
   EXPECT_TRUE(verify_cache(dir_).ok());
+}
+
+TEST_F(PersistentCacheTest, ConcurrentSessionsInOneProcessShareTheDir) {
+  // Two API sessions on two threads explore different apps into one cache
+  // directory at the same time; their loads and appends meet on the same
+  // file inside one process. Afterwards each app replays warm: zero
+  // executed simulations and the cold run's exact records.
+  const std::vector<std::string> apps = {"url", "drr"};
+  const auto study_of = [](const std::string& app) {
+    CaseStudy study = api::registry().make_study(app, tiny_options());
+    study.scenarios.resize(2);  // keep the single-core test budget small
+    return study;
+  };
+  std::vector<std::string> cold(apps.size());
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < apps.size(); ++i) {
+    threads.emplace_back([&, i] {
+      api::Exploration session(study_of(apps[i]));
+      cold[i] = session.cache_dir(dir_).run().serialized_records();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  EXPECT_TRUE(verify_cache(dir_).ok());
+  for (std::size_t i = 0; i < apps.size(); ++i) {
+    SCOPED_TRACE(apps[i]);
+    api::Exploration warm(study_of(apps[i]));
+    const ExplorationReport& report = warm.cache_dir(dir_).run();
+    EXPECT_EQ(report.executed_simulations(), 0u);
+    EXPECT_EQ(report.serialized_records(), cold[i]);
+  }
 }
 
 bool same_record(const SimulationRecord& a, const SimulationRecord& b) {
