@@ -106,12 +106,12 @@ std::vector<SimulationRecord> ExplorationEngine::fan_simulations(
     std::size_t count,
     const std::function<const Scenario&(std::size_t)>& scenario_of,
     const std::function<const ddt::DdtCombination&(std::size_t)>& combo_of,
-    SimulationCache* cache, support::ThreadPool& pool, int step) const {
+    SimulationCache* cache, int step) const {
   // Index-addressed slots: lane scheduling cannot affect record order, so
   // the parallel output is bit-identical to the serial one.
   std::vector<SimulationRecord> slots(count);
   ProgressReporter progress(options_.progress, step, count);
-  support::parallel_for(pool, count, [&](std::size_t i) {
+  support::parallel_for(options_.jobs, count, [&](std::size_t i) {
     const Scenario& scenario = scenario_of(i);
     const ddt::DdtCombination& combo = combo_of(i);
     {
@@ -140,38 +140,24 @@ std::vector<SimulationRecord> ExplorationEngine::fan_simulations(
 
 std::vector<SimulationRecord> ExplorationEngine::run_step1(
     const CaseStudy& study, SimulationCache* cache) const {
-  support::ThreadPool pool(options_.jobs);
-  return run_step1_fan(study, cache, pool);
-}
-
-std::vector<SimulationRecord> ExplorationEngine::run_step1_fan(
-    const CaseStudy& study, SimulationCache* cache,
-    support::ThreadPool& pool) const {
   const Scenario& scenario = study.scenarios.at(study.representative);
   const std::vector<ddt::DdtCombination> combos =
       ddt::enumerate_combinations(study.slot_kind_sets());
   return fan_simulations(
       combos.size(), [&](std::size_t) -> const Scenario& { return scenario; },
       [&](std::size_t i) -> const ddt::DdtCombination& { return combos[i]; },
-      cache, pool, 1);
+      cache, 1);
 }
 
 std::vector<SimulationRecord> ExplorationEngine::run_step1_greedy(
     const CaseStudy& study, SimulationCache* cache) const {
-  support::ThreadPool pool(options_.jobs);
-  return run_step1_greedy_fan(study, cache, pool);
-}
-
-std::vector<SimulationRecord> ExplorationEngine::run_step1_greedy_fan(
-    const CaseStudy& study, SimulationCache* cache,
-    support::ThreadPool& pool) const {
   const Scenario& scenario = study.scenarios.at(study.representative);
   const std::vector<ddt::DdtCombination> combos =
       greedy_step1_combos(study.slot_kind_sets());
   return fan_simulations(
       combos.size(), [&](std::size_t) -> const Scenario& { return scenario; },
       [&](std::size_t i) -> const ddt::DdtCombination& { return combos[i]; },
-      cache, pool, 1);
+      cache, 1);
 }
 
 std::vector<ddt::DdtCombination> ExplorationEngine::select_survivors_greedy(
@@ -296,15 +282,8 @@ std::vector<ddt::DdtCombination> ExplorationEngine::select_survivors(
 std::vector<SimulationRecord> ExplorationEngine::run_step2(
     const CaseStudy& study, const std::vector<ddt::DdtCombination>& survivors,
     SimulationCache* cache) const {
-  support::ThreadPool pool(options_.jobs);
-  return run_step2_fan(study, survivors, cache, pool);
-}
-
-std::vector<SimulationRecord> ExplorationEngine::run_step2_fan(
-    const CaseStudy& study, const std::vector<ddt::DdtCombination>& survivors,
-    SimulationCache* cache, support::ThreadPool& pool) const {
   // Flatten (scenario x survivor) into one index space, scenario-major —
-  // the serial iteration order — and fan every pair over the pool.
+  // the serial iteration order — and fan every pair over the lanes.
   const std::size_t per_scenario = survivors.size();
   const std::size_t count = per_scenario * study.scenarios.size();
   if (count == 0) {
@@ -319,7 +298,7 @@ std::vector<SimulationRecord> ExplorationEngine::run_step2_fan(
       [&](std::size_t i) -> const ddt::DdtCombination& {
         return survivors[i % per_scenario];
       },
-      cache, pool, 2);
+      cache, 2);
 }
 
 std::vector<SimulationRecord> ExplorationEngine::aggregate(
@@ -386,15 +365,13 @@ ExplorationReport ExplorationEngine::explore(const CaseStudy& study) const {
     persistent->seed(cache);
     load_span.arg("records", report.persistent_loaded);
   }
-  // One pool for the whole run: spawning lanes once, not per step.
-  support::ThreadPool pool(options_.jobs);
 
   {
     obs::SpanScope span(options_.trace_sink, "step1", "explore");
     report.step1_records =
         options_.step1_policy == Step1Policy::kGreedyPerSlot
-            ? run_step1_greedy_fan(study, &cache, pool)
-            : run_step1_fan(study, &cache, pool);
+            ? run_step1_greedy(study, &cache)
+            : run_step1(study, &cache);
     span.arg("records", report.step1_records.size());
   }
   {
@@ -412,8 +389,7 @@ ExplorationReport ExplorationEngine::explore(const CaseStudy& study) const {
 
   {
     obs::SpanScope span(options_.trace_sink, "step2", "explore");
-    report.step2_records =
-        run_step2_fan(study, report.survivors, &cache, pool);
+    report.step2_records = run_step2(study, report.survivors, &cache);
     span.arg("records", report.step2_records.size());
   }
   report.step2_simulations = report.step2_records.size();

@@ -11,11 +11,12 @@
 // paper's Table 1 (exhaustive vs reduced vs Pareto-optimal).
 //
 // Execution model: every (scenario, combination) simulation is
-// independent, so steps 1 and 2 fan simulations over
-// ExplorationOptions::jobs work-stealing lanes (support::ThreadPool) with
-// index-addressed result slots — reports are bit-identical at every lane
-// count. A per-explore() SimulationCache memoizes records so step 2
-// replays the representative scenario's survivors from step 1 instead of
+// independent, so steps 1 and 2 each fan their simulations over
+// ExplorationOptions::jobs lanes (one support::parallel_for per step,
+// lanes claiming indices from a shared counter) with index-addressed
+// result slots — reports are bit-identical at every lane count. A
+// per-explore() SimulationCache memoizes records so step 2 replays the
+// representative scenario's survivors from step 1 instead of
 // re-simulating them; with ExplorationOptions::cache_dir set, that cache
 // is seeded from — and appended to — a persistent cross-run cache file
 // (core::PersistentSimulationCache), so repeated invocations replay
@@ -29,10 +30,6 @@
 
 #include "core/simulation.h"
 #include "core/simulation_cache.h"
-
-namespace ddtr::support {
-class ThreadPool;
-}
 
 namespace ddtr::obs {
 class TraceWriter;
@@ -81,7 +78,8 @@ struct ExplorationOptions {
   std::size_t champions_per_metric = 3;
   Step1Policy step1_policy = Step1Policy::kExhaustive;
   // Concurrent simulation lanes. Every (scenario, combination) simulation
-  // is independent, so the steps fan them over `jobs` lanes with
+  // is independent, so each step fans them over min(jobs, simulations)
+  // lanes, started for the step and joined when it ends, with
   // index-addressed result slots — output is bit-identical to jobs = 1 at
   // any lane count. 1 = serial (no threads); 0 = one lane per hardware
   // thread.
@@ -203,26 +201,14 @@ class ExplorationEngine {
   const ExplorationOptions& options() const noexcept { return options_; }
 
  private:
-  // Pool-threaded variants used by explore(), which owns ONE pool for the
-  // whole three-step run (the public step methods build a transient pool).
-  std::vector<SimulationRecord> run_step1_fan(const CaseStudy& study,
-                                              SimulationCache* cache,
-                                              support::ThreadPool& pool) const;
-  std::vector<SimulationRecord> run_step1_greedy_fan(
-      const CaseStudy& study, SimulationCache* cache,
-      support::ThreadPool& pool) const;
-  std::vector<SimulationRecord> run_step2_fan(
-      const CaseStudy& study,
-      const std::vector<ddt::DdtCombination>& survivors,
-      SimulationCache* cache, support::ThreadPool& pool) const;
-  // Runs one simulation per unit index in [0, count), fanned over the
-  // pool, writing records into index-addressed slots. `step` labels the
-  // StepProgress events this fan emits.
+  // Runs one simulation per unit index in [0, count), fanned over
+  // options().jobs lanes, writing records into index-addressed slots.
+  // `step` labels the StepProgress events this fan emits.
   std::vector<SimulationRecord> fan_simulations(
       std::size_t count,
       const std::function<const Scenario&(std::size_t)>& scenario_of,
       const std::function<const ddt::DdtCombination&(std::size_t)>& combo_of,
-      SimulationCache* cache, support::ThreadPool& pool, int step) const;
+      SimulationCache* cache, int step) const;
 
   energy::EnergyModel model_;
   ExplorationOptions options_;

@@ -124,7 +124,7 @@ class Registry {
 
   // Deterministic dump, sorted by name within each kind:
   //   counter explore.step1.executed 128
-  //   gauge pool.queue_depth 0
+  //   gauge NAME VALUE
   //   histogram explore.sim_us count=128 sum=51234 min=120 max=960 b9=70 ...
   std::string render_text() const;
 

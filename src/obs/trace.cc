@@ -152,7 +152,8 @@ bool TraceWriter::write_file(const std::string& path) const {
   std::ofstream os(path, std::ios::trunc);
   if (!os) return false;
   write(os);
-  return os.good();
+  os.close();  // the final flush can fail too
+  return !os.fail();
 }
 
 // --- check_trace: strict JSON parse + span balance ----------------------

@@ -1,160 +1,81 @@
 #include "support/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
-#include <memory>
+#include <mutex>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "obs/metrics.h"
 
 namespace ddtr::support {
-namespace {
 
-// Pool telemetry (see src/obs/): queue depth is a live gauge, the rest
-// are monotonic counters. All relaxed-atomic — nothing here syncs the
-// lanes, and none of it feeds scheduling decisions or results.
-obs::Gauge& queue_depth_gauge() {
-  static obs::Gauge& g = obs::registry().gauge("pool.queue_depth");
-  return g;
-}
-
-}  // namespace
-
-ThreadPool::ThreadPool(std::size_t parallelism) {
-  const std::size_t lanes = resolve_jobs(parallelism);
-  workers_.reserve(lanes > 0 ? lanes - 1 : 0);
-  for (std::size_t i = 1; i < lanes; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  for (std::thread& worker : workers_) worker.join();
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  static obs::Counter& submitted =
-      obs::registry().counter("pool.tasks_submitted");
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(std::move(task));
-  }
-  submitted.add();
-  queue_depth_gauge().add(1);
-  cv_.notify_one();
-}
-
-void ThreadPool::worker_loop() {
-  static obs::Counter& executed =
-      obs::registry().counter("pool.tasks_executed");
-  while (true) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ and drained
-      task = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    queue_depth_gauge().add(-1);
-    task();
-    executed.add();
-  }
-}
-
-std::size_t ThreadPool::resolve_jobs(std::size_t jobs) noexcept {
+std::size_t resolve_jobs(std::size_t jobs) noexcept {
   if (jobs != 0) return jobs;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;
 }
 
-namespace {
-
-// Shared state of one parallel_for call. Heap-allocated and owned jointly
-// by the caller and every submitted worker task (shared_ptr), so a worker
-// finishing after the caller observed completion still touches live state.
-struct ParallelForState {
-  std::size_t n = 0;
-  const std::function<void(std::size_t)>* body = nullptr;
-  std::atomic<std::size_t> next{0};   // next unclaimed index
-  std::size_t pending_tasks = 0;      // submitted worker tasks still running
-  std::exception_ptr error;           // first exception, rethrown by caller
-  std::mutex mu;
-  std::condition_variable cv;
-
-  // Claims and runs indices until the pile is exhausted. On an exception
-  // the pile is poisoned (next jumps past n) so other lanes stop quickly.
-  // `helper_lane` only labels the utilization counters: indices claimed
-  // by pool workers are the "steals" that balanced uneven unit costs
-  // away from the calling lane.
-  void drain(bool helper_lane) {
-    std::size_t claimed = 0;
-    while (true) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) break;
-      ++claimed;
-      try {
-        (*body)(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(mu);
-        if (!error) error = std::current_exception();
-        next.store(n, std::memory_order_relaxed);
-      }
-    }
-    // One add per drain, not per index — the claim loop stays hot.
-    static obs::Counter& caller_claims =
-        obs::registry().counter("pool.caller_claims");
-    static obs::Counter& helper_claims =
-        obs::registry().counter("pool.helper_claims");
-    (helper_lane ? helper_claims : caller_claims).add(claimed);
-  }
-};
-
-}  // namespace
-
-void parallel_for(ThreadPool& pool, std::size_t n,
+void parallel_for(std::size_t jobs, std::size_t n,
                   const std::function<void(std::size_t)>& body) {
-  if (n == 0) return;
-  if (pool.worker_count() == 0 || n == 1) {
+  // No point starting more lanes than there are indices; the caller is one.
+  const std::size_t lanes = std::min(resolve_jobs(jobs), n);
+  if (lanes <= 1) {
     // Serial path: no shared state, no synchronization — byte-identical
     // behavior to the pre-parallel engine.
     for (std::size_t i = 0; i < n; ++i) body(i);
     return;
   }
 
-  auto state = std::make_shared<ParallelForState>();
-  state->n = n;
-  state->body = &body;
-
-  // No point waking more lanes than there are indices; the caller is one.
-  const std::size_t helpers = std::min(pool.worker_count(), n - 1);
-  state->pending_tasks = helpers;
-  for (std::size_t t = 0; t < helpers; ++t) {
-    pool.submit([state] {
-      state->drain(/*helper_lane=*/true);
-      {
-        std::lock_guard<std::mutex> lock(state->mu);
-        --state->pending_tasks;
+  std::atomic<std::size_t> next{0};  // next unclaimed index
+  std::mutex mu;
+  std::exception_ptr error;  // first failure, guarded by mu
+  // Records the first failure and poisons the pile (next jumps past n),
+  // so every lane stops claiming.
+  const auto fail = [&](std::exception_ptr e) {
+    std::lock_guard<std::mutex> lock(mu);
+    if (!error) error = std::move(e);
+    next.store(n, std::memory_order_relaxed);
+  };
+  // Pool telemetry (see src/obs/): relaxed-atomic counters that never
+  // feed scheduling or results. Indices claimed by helper lanes are the
+  // "steals" that balanced uneven unit costs away from the calling lane.
+  static obs::Counter& caller_claims =
+      obs::registry().counter("pool.caller_claims");
+  static obs::Counter& helper_claims =
+      obs::registry().counter("pool.helper_claims");
+  const auto drain = [&](obs::Counter& claims) {
+    std::size_t claimed = 0;
+    while (true) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) break;
+      ++claimed;
+      try {
+        body(i);
+      } catch (...) {
+        fail(std::current_exception());
       }
-      state->cv.notify_one();
-    });
+    }
+    claims.add(claimed);  // one add per drain: the claim loop stays hot
+  };
+
+  {
+    // jthreads join on destruction, so the lanes already started are
+    // joined even when starting a later one throws.
+    std::vector<std::jthread> helpers;
+    helpers.reserve(lanes - 1);
+    try {
+      for (std::size_t t = 1; t < lanes; ++t) {
+        helpers.emplace_back([&] { drain(helper_claims); });
+      }
+    } catch (...) {
+      fail(std::current_exception());
+    }
+    drain(caller_claims);
   }
-
-  state->drain(/*helper_lane=*/false);
-  std::unique_lock<std::mutex> lock(state->mu);
-  state->cv.wait(lock, [&state] { return state->pending_tasks == 0; });
-  if (state->error) std::rethrow_exception(state->error);
-}
-
-void parallel_for(std::size_t jobs, std::size_t n,
-                  const std::function<void(std::size_t)>& body) {
-  ThreadPool pool(jobs);
-  parallel_for(pool, n, body);
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace ddtr::support

@@ -3,7 +3,8 @@
 #   ddtr explore --app url --scale 0.05 --log f -> writes a result log
 #   ddtr pareto --log f                         -> post-processes it
 # plus the flag-parsing contract: a trailing --flag with no value must be
-# an error, not a silently swallowed positional.
+# an error, not a silently swallowed positional, and an output file that
+# cannot be written must fail the command.
 #
 # Invoked by CMakeLists.txt as:
 #   cmake -DDDTR_CLI=<path-to-ddtr> -DWORK_DIR=<scratch-dir> -P cli_smoke.cmake
@@ -210,9 +211,9 @@ if(EXISTS "${CACHE_DIR}/sim_cache.ddtr")
   message(FATAL_ERROR "cache clear left the cache file behind")
 endif()
 
-# 9. The retired daemon subcommands are unknown commands: exit 2 with
-#    the usage text.
-foreach(retired serve submit status stats results shutdown)
+# 9. The retired daemon subcommands and `lint` (the linter is the
+#    ddtr_lint binary) are unknown commands: exit 2 with the usage text.
+foreach(retired serve submit status stats results shutdown lint)
   execute_process(
       COMMAND ${DDTR_CLI} ${retired} --socket ${WORK_DIR}/none.sock
       RESULT_VARIABLE retired_result
@@ -242,5 +243,32 @@ if(metrics_at EQUAL -1 OR runs_at LESS metrics_at)
   message(FATAL_ERROR
       "trace lacks a metrics event carrying explore.runs:\n${trace_text}")
 endif()
+
+# 11. An output file that cannot be written fails the command: exit 1,
+#     "error: cannot write PATH", and no "wrote" line claiming it.
+set(MISSING_DIR "${WORK_DIR}/no/such/dir")
+foreach(case
+        "explore;--app;url;--scale;0.05;--log;${MISSING_DIR}/x.log|${MISSING_DIR}/x.log"
+        "explore;--app;url;--scale;0.05;--csv;${MISSING_DIR}/x|${MISSING_DIR}/x_records.csv"
+        "explore;--app;url;--scale;0.05;--trace;${MISSING_DIR}/t.json|${MISSING_DIR}/t.json"
+        "tracegen;--preset;nlanr-campus;--packets;10;--out;${MISSING_DIR}/t.trace|${MISSING_DIR}/t.trace")
+  string(REPLACE "|" ";" parts "${case}")
+  list(GET parts -1 bad_path)
+  list(REMOVE_AT parts -1)
+  execute_process(
+      COMMAND ${DDTR_CLI} ${parts}
+      RESULT_VARIABLE unwritable_result
+      OUTPUT_VARIABLE unwritable_out
+      ERROR_VARIABLE unwritable_err)
+  string(FIND "${unwritable_err}" "error: cannot write ${bad_path}" error_at)
+  string(FIND "${unwritable_out}${unwritable_err}" "wrote " wrote_at)
+  if(NOT unwritable_result EQUAL 1 OR error_at EQUAL -1 OR
+     NOT wrote_at EQUAL -1)
+    message(FATAL_ERROR
+        "ddtr ${parts}: expected 'error: cannot write ${bad_path}', exit 1 "
+        "and no 'wrote' line, got exit ${unwritable_result}:\n"
+        "${unwritable_out}\n${unwritable_err}")
+  endif()
+endforeach()
 
 message(STATUS "cli_smoke: all CLI flows passed")

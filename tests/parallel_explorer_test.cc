@@ -1,4 +1,4 @@
-// Parallel exploration engine: ThreadPool/parallel_for mechanics,
+// Parallel exploration engine: parallel_for mechanics,
 // SimulationCache hit/miss accounting, and the determinism contract —
 // explore() with jobs=4 must produce records, survivors and Pareto sets
 // identical to jobs=1 on the URL and DRR case studies, and the simulation
@@ -6,8 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <set>
 #include <stdexcept>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/ddtr.h"
@@ -58,51 +62,74 @@ ExplorationReport explore_with_jobs(const CaseStudy& study,
   return engine.explore(study);
 }
 
-TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
-  support::ThreadPool pool(4);
-  EXPECT_EQ(pool.parallelism(), 4u);
-  std::vector<std::atomic<int>> counts(1000);
-  support::parallel_for(pool, counts.size(),
-                        [&](std::size_t i) { ++counts[i]; });
-  for (const auto& c : counts) EXPECT_EQ(c.load(), 1);
-}
-
-TEST(ThreadPool, SingleLanePoolRunsInline) {
-  support::ThreadPool pool(1);
-  EXPECT_EQ(pool.worker_count(), 0u);
-  std::vector<int> order;  // unsynchronized: only legal because inline
-  support::parallel_for(pool, 5, [&](std::size_t i) {
-    order.push_back(static_cast<int>(i));
-  });
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(ThreadPool, ParallelMapWritesIndexAddressedSlots) {
-  support::ThreadPool pool(3);
-  const std::vector<std::size_t> squares =
-      support::parallel_map<std::size_t>(
-          pool, 64, [](std::size_t i) { return i * i; });
-  ASSERT_EQ(squares.size(), 64u);
-  for (std::size_t i = 0; i < squares.size(); ++i) {
-    EXPECT_EQ(squares[i], i * i);
+TEST(ParallelFor, RunsEveryIndexExactlyOnce) {
+  for (const std::size_t jobs : {1, 3, 8}) {
+    for (const std::size_t n : {0, 1, 2, 1000}) {
+      std::vector<std::atomic<int>> counts(n);
+      support::parallel_for(jobs, n, [&](std::size_t i) { ++counts[i]; });
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(counts[i].load(), 1)
+            << "jobs " << jobs << ", n " << n << ", index " << i;
+      }
+    }
   }
 }
 
-TEST(ThreadPool, PropagatesBodyException) {
-  support::ThreadPool pool(4);
+TEST(ParallelFor, SingleLaneRunsInOrderOnTheCaller) {
+  // jobs = 1, and n = 1 at any jobs, take the inline path.
+  for (const auto& [jobs, n] :
+       {std::pair<std::size_t, std::size_t>{1, 5}, {8, 1}}) {
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::size_t> order;  // unsynchronized: only legal inline
+    support::parallel_for(jobs, n, [&](std::size_t i) {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      order.push_back(i);
+    });
+    std::vector<std::size_t> expected(n);
+    for (std::size_t i = 0; i < n; ++i) expected[i] = i;
+    EXPECT_EQ(order, expected) << "jobs " << jobs << ", n " << n;
+  }
+}
+
+TEST(ParallelFor, StartsNoMoreLanesThanIndices) {
+  std::mutex mu;
+  std::set<std::thread::id> ids;
+  support::parallel_for(64, 3, [&](std::size_t) {
+    // Hold each unit briefly so idle lanes, if any existed, would claim.
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    std::lock_guard<std::mutex> lock(mu);
+    ids.insert(std::this_thread::get_id());
+  });
+  EXPECT_LE(ids.size(), 3u);
+}
+
+TEST(ParallelFor, RethrowsBodyExceptionAfterEveryLaneStopped) {
+  std::atomic<int> running{0};
+  std::atomic<bool> returned{false};
+  std::atomic<int> late_calls{0};
   EXPECT_THROW(
-      support::parallel_for(pool, 100,
-                            [](std::size_t i) {
+      support::parallel_for(4, 100,
+                            [&](std::size_t i) {
+                              if (returned.load()) ++late_calls;
+                              ++running;
+                              std::this_thread::sleep_for(
+                                  std::chrono::microseconds(200));
+                              --running;
                               if (i == 37) {
                                 throw std::runtime_error("lane failure");
                               }
                             }),
       std::runtime_error);
+  returned.store(true);
+  EXPECT_EQ(running.load(), 0);  // every lane was joined before the throw
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_EQ(late_calls.load(), 0);
+  EXPECT_EQ(running.load(), 0);
 }
 
-TEST(ThreadPool, ResolveJobsMapsZeroToHardware) {
-  EXPECT_GE(support::ThreadPool::resolve_jobs(0), 1u);
-  EXPECT_EQ(support::ThreadPool::resolve_jobs(3), 3u);
+TEST(ParallelFor, ResolveJobsMapsZeroToHardware) {
+  EXPECT_GE(support::resolve_jobs(0), 1u);
+  EXPECT_EQ(support::resolve_jobs(3), 3u);
 }
 
 TEST(SimulationCache, CountsHitsAndMisses) {

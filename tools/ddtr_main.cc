@@ -8,7 +8,6 @@
 //   ddtr traceparse FILE                  extract network parameters
 //   ddtr explore   --app A [...]          run the 3-step methodology
 //   ddtr pareto    --log FILE [...]       post-process a result log
-//   ddtr lint      [PATH ...]             project-invariant static analysis
 //   ddtr cache     OP DIR                 inspect/maintain a cache dir
 //   ddtr tracecheck FILE                  validate a --trace output file
 //
@@ -18,6 +17,7 @@
 // Perl post-processing" flow).
 #include <algorithm>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <optional>
 #include <sstream>
@@ -31,7 +31,6 @@
 #include "core/cache_inspect.h"
 #include "core/report.h"
 #include "core/result_log.h"
-#include "lint.h"
 #include "nettrace/generator.h"
 #include "nettrace/parser.h"
 #include "nettrace/presets.h"
@@ -93,22 +92,6 @@ int usage() {
       "              with a `metrics` event that dumps the metrics registry;\n"
       "              purely observational — reports are byte-identical\n"
       "              either way\n"
-      "  ddtr lint [DIR|FILE ...] [--repo-root DIR] [--update-accounting]\n"
-      "            [--fix [--dry-run]] [--diff REF] [--compile-commands F]\n"
-      "    run the project-invariant static-analysis pass (decoder\n"
-      "    safety, fsync-paired renames, pool-only DDT allocation,\n"
-      "    cache-key determinism, accounting-version coupling, header\n"
-      "    hygiene) plus the whole-program passes (layering vs\n"
-      "    tools/lint/layers.lock, include cycles/IWYU, include order,\n"
-      "    lock-order discipline, cv predicates) over the given paths\n"
-      "    (default: src tests tools bench under --repo-root, \".\");\n"
-      "    suppress one finding with // ddtr-lint: allow(<rule>) on the\n"
-      "    same or preceding line\n"
-      "    --fix: repair the mechanical families in place (missing\n"
-      "              #pragma once, unused includes, include order);\n"
-      "              --dry-run previews the rewrites as unified diffs\n"
-      "    --diff REF: report only findings in files changed vs the git\n"
-      "              ref — fast PR feedback (full tree stays in ctest)\n"
       "  ddtr pareto --log FILE [--app NAME] [--x METRIC] [--y METRIC]\n"
       "  ddtr cache stats|verify|clear DIR\n"
       "  ddtr tracecheck FILE\n"
@@ -226,6 +209,22 @@ Args parse_args(int argc, char** argv, int from) {
   return args;
 }
 
+// Writes one output file through `write`, checking the stream after the
+// final flush. A file that cannot be written (a missing directory, a full
+// disk) is reported as "error: cannot write PATH" and gives false, so the
+// command exits 1 instead of claiming a file it never wrote.
+bool write_output(const std::string& path,
+                  const std::function<void(std::ostream&)>& write) {
+  std::ofstream os(path);
+  if (os) write(os);
+  os.close();
+  if (os.fail()) {
+    std::cerr << "error: cannot write " << path << '\n';
+    return false;
+  }
+  return true;
+}
+
 int cmd_apps() {
   support::TextTable table({"name", "description"});
   for (const std::string& name : api::registry().names()) {
@@ -280,8 +279,9 @@ int cmd_tracegen(const Args& args) {
       net::TraceGenerator::generate(net::network_preset(preset_name),
                                     options);
   if (const auto out = args.valued("out")) {
-    std::ofstream os(*out);
-    trace.save(os);
+    if (!write_output(*out, [&](std::ostream& os) { trace.save(os); })) {
+      return 1;
+    }
     std::cout << "wrote " << trace.size() << " packets to " << *out << '\n';
   } else {
     trace.save(std::cout);
@@ -378,6 +378,7 @@ int cmd_explore(const Args& args) {
   }
 
   const core::ExplorationReport& report = session.run();
+  bool written = true;  // every requested output file was written
   if (tracer) {
     // The registry dump rides along as one instant event, one arg per
     // instrument ("explore.runs": "counter 1"), so the trace alone shows
@@ -393,7 +394,8 @@ int cmd_explore(const Args& args) {
       std::cerr << "wrote " << tracer->event_count() << " trace events to "
                 << *trace_path << '\n';
     } else {
-      std::cerr << "error: cannot write trace file " << *trace_path << '\n';
+      std::cerr << "error: cannot write " << *trace_path << '\n';
+      written = false;
     }
   }
 
@@ -426,59 +428,37 @@ int cmd_explore(const Args& args) {
   core::print_best_by_metric(std::cout, report.step2_records);
 
   if (log_path) {
-    std::ofstream os(*log_path);
-    os << report.serialized_records();
-    std::cout << "\nwrote "
-              << report.step1_records.size() + report.step2_records.size()
-              << " records to " << *log_path << '\n';
+    if (write_output(*log_path, [&](std::ostream& os) {
+          os << report.serialized_records();
+        })) {
+      std::cout << "\nwrote "
+                << report.step1_records.size() + report.step2_records.size()
+                << " records to " << *log_path << '\n';
+    } else {
+      written = false;
+    }
   }
   if (csv_prefix) {
-    {
-      std::ofstream os(*csv_prefix + "_records.csv");
-      core::write_records_csv(os, report.step2_records);
-    }
-    {
-      std::ofstream os(*csv_prefix + "_time_energy.csv");
-      core::write_pareto_csv(os, report.step2_records, 1, 0);
-    }
-    {
-      std::ofstream os(*csv_prefix + "_accesses_footprint.csv");
-      core::write_pareto_csv(os, report.step2_records, 2, 3);
-    }
-    std::cout << "wrote " << *csv_prefix << "_{records,time_energy,"
-              << "accesses_footprint}.csv\n";
-  }
-  return 0;
-}
-
-// ddtr lint [PATH ...] — the project linter (see tools/lint/lint.h), the
-// exact pass the `lint` ctest and the CI lint job run. Exit 1 on any
-// finding so scripts can gate on it.
-int cmd_lint(const Args& raw_args) {
-  // The generic parser attaches a following positional to any flag;
-  // lint's boolean flags must give theirs back (`lint --fix src`).
-  Args args = raw_args;
-  for (auto& [k, v] : args.flags) {
-    if ((k == "fix" || k == "dry-run" || k == "update-accounting") &&
-        !v.empty()) {
-      args.positional.push_back(v);
-      v.clear();
+    const auto& records = report.step2_records;
+    if (write_output(*csv_prefix + "_records.csv",
+                     [&](std::ostream& os) {
+                       core::write_records_csv(os, records);
+                     }) &&
+        write_output(*csv_prefix + "_time_energy.csv",
+                     [&](std::ostream& os) {
+                       core::write_pareto_csv(os, records, 1, 0);
+                     }) &&
+        write_output(*csv_prefix + "_accesses_footprint.csv",
+                     [&](std::ostream& os) {
+                       core::write_pareto_csv(os, records, 2, 3);
+                     })) {
+      std::cout << "wrote " << *csv_prefix << "_{records,time_energy,"
+                << "accesses_footprint}.csv\n";
+    } else {
+      written = false;
     }
   }
-  lint::RunOptions options;
-  options.repo_root = args.valued("repo-root").value_or(".");
-  options.update_accounting = args.has("update-accounting");
-  options.fix = args.has("fix");
-  options.dry_run = args.has("dry-run");
-  options.diff_ref = args.valued("diff").value_or("");
-  options.compile_commands = args.valued("compile-commands").value_or("");
-  options.roots = args.positional;
-  if (options.roots.empty()) {
-    for (const char* dir : {"src", "tests", "tools", "bench"}) {
-      options.roots.push_back(options.repo_root + "/" + dir);
-    }
-  }
-  return lint::run_lint(options, std::cout) == 0 ? 0 : 1;
+  return written ? 0 : 1;
 }
 
 // ddtr cache <stats|verify|clear> DIR — inspection and maintenance of a
@@ -647,10 +627,6 @@ const std::vector<Command>& commands() {
        [](const Args& a) { return cmd_explore(a); }},
       {"pareto", {"log", "app", "x", "y"},
        [](const Args& a) { return cmd_pareto(a); }},
-      {"lint",
-       {"repo-root", "update-accounting", "fix", "dry-run", "diff",
-        "compile-commands"},
-       [](const Args& a) { return cmd_lint(a); }},
       {"cache", {},
        [](const Args& a) { return cmd_cache(a); }},
       {"tracecheck", {},

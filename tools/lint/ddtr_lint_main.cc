@@ -1,7 +1,6 @@
-// Standalone entry point of the project linter. `ddtr lint` (the CLI
-// subcommand) and the `lint` ctest are the same pass over the same
-// rules; this binary exists so CI and pre-commit hooks need nothing but
-// the tool itself.
+// Entry point of the project linter. The `lint` ctest and CI's lint job
+// run this binary, so they are the same pass over the same rules, and
+// pre-commit hooks need nothing but the tool itself.
 #include <iostream>
 #include <string>
 #include <vector>
