@@ -39,14 +39,16 @@ namespace ddtr::core {
 
 // How step 1 covers the combination space.
 enum class Step1Policy {
-  // Simulate every combination (10^slots simulations) — the paper's
-  // default flow (100 simulations for two dominant structures).
+  // Simulate every combination: the product of |K_s| over the slots'
+  // legal kind sets K_s (121 or 132 simulations for two dominant
+  // structures) — the paper's default flow.
   kExhaustive,
   // Explore each dominant structure independently, holding the others at
-  // the SLL baseline (10 x slots simulations), then cross the per-slot
-  // non-dominated kinds. Explains sub-100 "reduced" counts such as the
-  // paper's DRR row (60 total simulations); exact when the slots' costs
-  // are close to separable, which trace-driven kernels usually are.
+  // the SLL baseline (1 + sum of (|K_s| - 1) simulations: 21 or 22 for
+  // two slots), then cross the per-slot non-dominated kinds. Explains
+  // "reduced" counts such as the paper's DRR row (60 total simulations);
+  // exact when the slots' costs are close to separable, which
+  // trace-driven kernels usually are.
   kGreedyPerSlot,
 };
 

@@ -169,8 +169,9 @@ bool read_file_header(std::istream& is) {
 }
 
 // One full structural walk of a cache file. Shared by load() (absorbing
-// entries) and check_file() (counting only), so they can never disagree
-// about what "well-formed" means.
+// entries), store_new() (finding the append offset) and check_file()
+// (counting only), so they can never disagree about what "well-formed"
+// means.
 struct ParsedFile {
   bool header_valid = false;
   // End of the last structurally complete frame: past it, any bytes are
@@ -229,37 +230,6 @@ ParsedFile parse_cache_file(
     if (on_entry) on_entry(std::move(key), std::move(record));
   }
   return out;
-}
-
-// Where the next append goes: the end of the last structurally complete
-// frame of a file with a valid header, walked from the header (frame
-// lengths only, no payload parsing), or 0 when the file is missing or
-// invalid and must be rewritten from its header. Bytes past the returned
-// offset are a torn tail. Called under DirLock, so the walk sees the file
-// as it is now — whatever other writers appended or rewrote since this
-// object's load().
-std::uint64_t scan_valid_frames(const std::string& path) {
-  constexpr std::uint64_t kFrameHeaderBytes = 4 + 8 + 8;
-  std::error_code ec;
-  const std::uint64_t size = std::filesystem::file_size(path, ec);
-  std::ifstream is(path, std::ios::binary);
-  if (ec || !is || !read_file_header(is)) return 0;
-  std::uint64_t pos = static_cast<std::uint64_t>(is.tellg());
-  while (pos + kFrameHeaderBytes <= size) {
-    std::uint32_t entry_magic = 0;
-    std::uint64_t payload_size = 0;
-    std::uint64_t checksum = 0;
-    if (!support::read_u32(is, entry_magic) || entry_magic != kEntryMagic ||
-        !support::read_u64(is, payload_size) ||
-        payload_size > kMaxEntryBytes || !support::read_u64(is, checksum) ||
-        pos + kFrameHeaderBytes + payload_size > size) {
-      break;
-    }
-    is.seekg(static_cast<std::streamoff>(payload_size), std::ios::cur);
-    if (!is) break;
-    pos += kFrameHeaderBytes + payload_size;
-  }
-  return pos;
 }
 
 void write_entry(std::ostream& os, const std::string& key,
@@ -341,14 +311,15 @@ std::size_t PersistentSimulationCache::store_new(
 
   // Append to a valid file after cutting its torn tail (a writer killed
   // mid-append); rewrite (header included) a missing or invalid one.
-  // Appending entries another writer already stored is benign: load()
-  // keeps one entry per key.
-  const std::uint64_t append_from = scan_valid_frames(path);
-  if (append_from != 0) {
-    const auto size = std::filesystem::file_size(path, ec);
-    if (!ec && size > append_from) {
-      std::filesystem::resize_file(path, append_from, ec);
-    }
+  // Walked under DirLock, so the offset reflects whatever other writers
+  // appended or rewrote since this object's load(). Appending entries
+  // another writer already stored is benign: load() keeps one entry per
+  // key.
+  const ParsedFile parsed = parse_cache_file(path, nullptr);
+  const std::uint64_t append_from =
+      parsed.header_valid ? parsed.valid_prefix : 0;
+  if (append_from != 0 && parsed.bytes > append_from) {
+    std::filesystem::resize_file(path, append_from, ec);
     if (ec) return 0;
   }
   std::ofstream os(path, std::ios::binary | (append_from != 0

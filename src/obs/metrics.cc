@@ -35,13 +35,6 @@ Counter& Registry::counter(const std::string& name) {
   return *slot;
 }
 
-Gauge& Registry::gauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = gauges_[name];
-  if (!slot) slot = std::make_unique<Gauge>();
-  return *slot;
-}
-
 Histogram& Registry::histogram(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = histograms_[name];
@@ -54,9 +47,6 @@ std::string Registry::render_text() const {
   std::ostringstream os;
   for (const auto& [name, c] : counters_) {
     os << "counter " << name << ' ' << c->value() << '\n';
-  }
-  for (const auto& [name, g] : gauges_) {
-    os << "gauge " << name << ' ' << g->value() << '\n';
   }
   for (const auto& [name, h] : histograms_) {
     os << "histogram " << name << " count=" << h->count()

@@ -6,7 +6,6 @@
 //     relaxed atomics (a thread picks its shard once, round-robin), summed
 //     on read — concurrent add() never bounces one cache line between
 //     lanes.
-//   - Gauge: a single signed atomic (set/add), for levels like queue depth.
 //   - Histogram: lock-free log2 buckets plus count/sum/min/max, for
 //     durations (microseconds by convention, ".._us" names).
 //
@@ -63,22 +62,6 @@ class Counter {
   Shard shards_[kShards];
 };
 
-class Gauge {
- public:
-  void set(std::int64_t v) noexcept {
-    value_.store(v, std::memory_order_relaxed);
-  }
-  void add(std::int64_t delta) noexcept {
-    value_.fetch_add(delta, std::memory_order_relaxed);
-  }
-  std::int64_t value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::int64_t> value_{0};
-};
-
 class Histogram {
  public:
   void observe(std::uint64_t v) noexcept;
@@ -119,19 +102,16 @@ class Histogram {
 class Registry {
  public:
   Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name);
 
   // Deterministic dump, sorted by name within each kind:
   //   counter explore.step1.executed 128
-  //   gauge NAME VALUE
   //   histogram explore.sim_us count=128 sum=51234 min=120 max=960 b9=70 ...
   std::string render_text() const;
 
  private:
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 

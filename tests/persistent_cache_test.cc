@@ -522,8 +522,9 @@ TEST_F(PersistentCacheTest, CorruptionSweepNeverCrashesOrMisloads) {
   // A seeded sweep of byte flips and of truncations at every cut point
   // over a valid cache file. For each mutated file, load() must not
   // throw, every record it returns must equal the original record for
-  // its key, and check_file() must count the same good and corrupt
-  // entries as load() (a duplicate key is one good frame, one entry).
+  // its key, check_file() must count the same good and corrupt entries
+  // as load() (a duplicate key is one good frame, one entry), and a
+  // store_new() into the mutant must keep every record load() saw.
   SimulationCache cache;
   add_records(cache, 0, 6);
   {
@@ -542,6 +543,9 @@ TEST_F(PersistentCacheTest, CorruptionSweepNeverCrashesOrMisloads) {
                  std::istreambuf_iterator<char>());
   }
   ASSERT_FALSE(valid.empty());
+  SimulationCache extra;
+  add_records(extra, 6, 1);  // "k6" sorts after every original key
+  const auto extra_entry = extra.entries().front();
 
   auto check_mutant = [&](const std::string& bytes, const std::string& what) {
     {
@@ -564,6 +568,23 @@ TEST_F(PersistentCacheTest, CorruptionSweepNeverCrashesOrMisloads) {
         << what;
     EXPECT_EQ(check.entries_corrupt, probe.load_stats().corrupt_entries)
         << what;
+
+    // A fresh writer appends one new record after whatever the mutant
+    // kept (or rewrites an invalid file); a reload returns exactly the
+    // records the mutant loaded plus the new one.
+    PersistentSimulationCache writer(dir_);
+    ASSERT_EQ(writer.store_new(extra), 1u) << what;
+    PersistentSimulationCache reload(dir_);
+    ASSERT_NO_THROW(reload.load()) << what;
+    auto expected = probe.entries();
+    expected.push_back(extra_entry);
+    const auto reloaded = reload.entries();
+    ASSERT_EQ(reloaded.size(), expected.size()) << what;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(reloaded[i].first, expected[i].first) << what;
+      EXPECT_TRUE(same_record(reloaded[i].second, expected[i].second))
+          << what << ": record for " << expected[i].first << " differs";
+    }
   };
 
   for (std::size_t cut = 0; cut < valid.size(); ++cut) {

@@ -382,7 +382,7 @@ int cmd_explore(const Args& args) {
   if (tracer) {
     // The registry dump rides along as one instant event, one arg per
     // instrument ("explore.runs": "counter 1"), so the trace alone shows
-    // the run's counters, gauges and histograms.
+    // the run's counters and histograms.
     obs::TraceArgs metrics;
     std::istringstream lines(obs::registry().render_text());
     for (std::string kind, name, rest;

@@ -433,7 +433,7 @@ void check_cycles(const Graph& g, std::vector<Finding>& out) {
 }
 
 void check_iwyu(const Graph& g, const LayerContract& contract,
-                DepAnalysis& analysis) {
+                std::vector<Finding>& out) {
   std::map<std::string, std::set<std::string>> provided;  // per header
   std::map<std::string, std::set<std::string>> own;       // every file
   std::map<std::string, UsedIdents> used_map;
@@ -499,7 +499,7 @@ void check_iwyu(const Graph& g, const LayerContract& contract,
       covered.insert(names.begin(), names.end());
     }
 
-    // include-unused: a direct include is removable when none of its own
+    // include-unused: a direct include is dead when none of its own
     // names are used AND everything its closure contributes is still
     // reachable through the remaining includes.
     for (const Direct& d : direct) {
@@ -578,12 +578,11 @@ void check_iwyu(const Graph& g, const LayerContract& contract,
         }
       }
       if (!safe) continue;
-      analysis.findings.push_back(
+      out.push_back(
           {path, d.inc->line, "include-unused",
            "\"" + d.inc->target + "\" is included but none of its names "
            "are used here",
-           "remove the include (autofixable: `ddtr_lint --fix`)"});
-      analysis.removable[path].insert(d.inc->line);
+           "delete the #include line: nothing here or downstream needs it"});
     }
 
     // include-transitive: a used name that is NOT covered but is
@@ -632,7 +631,7 @@ void check_iwyu(const Graph& g, const LayerContract& contract,
           break;
         }
       }
-      analysis.findings.push_back(
+      out.push_back(
           {path, line, "include-transitive",
            "`" + n + "` comes transitively from \"" +
                header.substr(4) + "\" — include it directly",
@@ -645,10 +644,10 @@ void check_iwyu(const Graph& g, const LayerContract& contract,
 
 }  // namespace
 
-DepAnalysis analyze_dependencies(const std::vector<SourceFile>& files,
-                                 const LayerContract& contract) {
-  DepAnalysis analysis;
-  if (!contract.loaded) return analysis;
+std::vector<Finding> analyze_dependencies(
+    const std::vector<SourceFile>& files, const LayerContract& contract) {
+  std::vector<Finding> findings;
+  if (!contract.loaded) return findings;
   Graph g;
   for (const SourceFile& f : files) {
     if (module_of(f.path).empty()) continue;
@@ -664,45 +663,10 @@ DepAnalysis analyze_dependencies(const std::vector<SourceFile>& files,
     std::sort(out.begin(), out.end());
     out.erase(std::unique(out.begin(), out.end()), out.end());
   }
-  check_layering(g, contract, analysis.findings);
-  check_cycles(g, analysis.findings);
-  check_iwyu(g, contract, analysis);
-  return analysis;
-}
-
-std::optional<std::vector<std::string>> compile_commands_files(
-    const std::string& path, const std::string& repo_root) {
-  const auto text = read_file_text(path);
-  if (!text) return std::nullopt;
-  std::vector<std::string> files;
-  std::string root = normalize_path(repo_root);
-  if (!root.empty() && root.back() != '/') root += '/';
-  std::error_code ec;
-  const std::string abs_root = normalize_path(
-      std::filesystem::weakly_canonical(repo_root, ec).string());
-  std::size_t pos = 0;
-  const std::string key = "\"file\"";
-  while ((pos = text->find(key, pos)) != std::string::npos) {
-    pos += key.size();
-    pos = text->find('"', text->find(':', pos));
-    if (pos == std::string::npos) break;
-    const std::size_t end = text->find('"', pos + 1);
-    if (end == std::string::npos) break;
-    std::string file = normalize_path(text->substr(pos + 1, end - pos - 1));
-    // Make repo-relative when the entry is inside the root.
-    for (const std::string& prefix :
-         {abs_root + "/", root}) {
-      if (!prefix.empty() && prefix != "/" && file.rfind(prefix, 0) == 0) {
-        file = file.substr(prefix.size());
-        break;
-      }
-    }
-    files.push_back(std::move(file));
-    pos = end + 1;
-  }
-  std::sort(files.begin(), files.end());
-  files.erase(std::unique(files.begin(), files.end()), files.end());
-  return files;
+  check_layering(g, contract, findings);
+  check_cycles(g, findings);
+  check_iwyu(g, contract, findings);
+  return findings;
 }
 
 }  // namespace ddtr::lint

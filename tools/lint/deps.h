@@ -1,8 +1,7 @@
 // The dependency/layering analyzer — ddtr_lint's whole-program pass.
 //
 // Per-file rules catch local hazards; architectural rot is global. This
-// pass parses every `#include` edge across src/ (optionally seeded from
-// a CMake-emitted compile_commands.json), maps files to modules (the
+// pass parses every `#include` edge across src/, maps files to modules (the
 // first component of the quoted include path: "core/explorer.h" → core),
 // and enforces the layering contract declared in tools/lint/layers.lock:
 //
@@ -22,9 +21,6 @@
 //                       only reachable transitively should be included
 //                       directly — transitive leaks break when the
 //                       middleman drops its include.
-//
-// The same analysis feeds the autofix pass: `removable` lists the
-// include-directive lines `--fix` may delete.
 #pragma once
 
 #include <map>
@@ -71,27 +67,15 @@ std::string module_of(const std::string& rel_path);
 // "src/core/explorer.h"). Angle includes are system headers — not ours.
 std::string resolve_include(const std::string& target);
 
-struct DepAnalysis {
-  std::vector<Finding> findings;
-  // path → include-directive lines (1-based) that --fix may remove.
-  std::map<std::string, std::set<std::size_t>> removable;
-};
-
 // Runs the layering + include-cycle + IWYU-lite checks over the scanned
 // src/ files. Suppressions are NOT applied here — the driver owns that.
-DepAnalysis analyze_dependencies(const std::vector<SourceFile>& files,
-                                 const LayerContract& contract);
+std::vector<Finding> analyze_dependencies(
+    const std::vector<SourceFile>& files, const LayerContract& contract);
 
 // Names a header offers its includers, extracted at namespace-transparent
 // brace depth: type names (class/struct/enum/union), alias targets
 // (`using X =`), function names, #define'd macros, and constexpr
 // constants. Exposed for the unit tests.
 std::set<std::string> provided_names(const SourceFile& file);
-
-// The "file" entries of a compile_commands.json, normalized and made
-// repo-relative where possible. Light-weight scan — no JSON parser
-// needed for the one key we read. Returns nullopt if unreadable.
-std::optional<std::vector<std::string>> compile_commands_files(
-    const std::string& path, const std::string& repo_root);
 
 }  // namespace ddtr::lint

@@ -35,20 +35,20 @@
 //   header-hygiene     headers use `#pragma once` and never
 //                      `using namespace` at any scope.
 //
-// v2 adds three whole-program passes over the same scanner core (see
-// deps.h, locks.h, fix.h for the machinery):
+// Whole-program passes and the include-order rule over the same scanner
+// core (see deps.h, locks.h, include_order.h for the machinery):
 //
 //   layering           every src/ module's include edges must be
 //                      declared in tools/lint/layers.lock.
 //   include-cycle      no cycle through project includes.
 //   include-unused     a direct include none of whose names are used
 //                      (and whose closure stays reachable without it)
-//                      is dead weight. Autofixable.
+//                      is dead weight.
 //   include-transitive a name reached only through a middleman header
 //                      should be included directly.
 //   include-order      include regions follow the canonical grouping
 //                      (primary, <c++-std>, <system.h>, "project",
-//                      alphabetical within groups). Autofixable.
+//                      alphabetical within groups).
 //   lock-order         no acquisition cycles in the global mutex graph,
 //                      no re-acquisition of a held mutex (directly or
 //                      through a same-file call edge).
@@ -124,22 +124,18 @@ bool update_accounting(const std::string& repo_root, std::string& error);
 // --- Driver -------------------------------------------------------------
 
 struct RunOptions {
-  std::vector<std::string> roots;  // files or directories to scan
+  // Files or directories to scan; empty scans src, tests, tools, bench
+  // and examples under repo_root.
+  std::vector<std::string> roots;
   std::string repo_root;  // for the registries + whole-program passes;
                           // "" skips both
   bool update_accounting = false;
-  bool fix = false;       // apply mechanical repairs in place
-  bool dry_run = false;   // with fix: print unified diffs, write nothing
-  std::string diff_ref;   // restrict findings to files changed vs a ref
-  std::string compile_commands;  // optional compile_commands.json path
 };
 
 // Scans every *.h/*.cc/*.cpp under the roots once, runs the per-file
 // rules plus the whole-program passes (layering/IWYU over src/, lock
 // order, include order, the accounting registry), prints findings to
 // `out`, and returns the number of findings (0 means a clean tree).
-// With `fix` set the mechanical families are repaired first and the
-// count reflects the tree after repair.
 std::size_t run_lint(const RunOptions& options, std::ostream& out);
 
 }  // namespace ddtr::lint

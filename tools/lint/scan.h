@@ -1,6 +1,6 @@
-// The shared scanner core of every ddtr_lint pass. PR 8's rule engine,
+// The shared scanner core of every ddtr_lint pass. The per-file rules,
 // the dependency/layering analyzer, the lock-order checker and the
-// autofix rewriter all consume the same primitives: a "code view" of the
+// include-order rule all consume the same primitives: a "code view" of the
 // file with comments and literals blanked (offsets preserved 1:1), a
 // token-level function-definition finder, an include-directive scanner,
 // and the `// ddtr-lint: allow(...)` suppression machinery. One scan per
@@ -70,9 +70,9 @@ struct IncludeDirective {
 };
 
 // Every #include directive of the file, in order, with #if-nesting
-// tracked so conditional includes can be left alone by reordering and
-// removal passes. `raw` is the unscrubbed content (the string scrubber
-// blanks quoted targets in the code view).
+// tracked so the include-order and include-unused rules can leave
+// conditional includes alone. `raw` is the unscrubbed content (the
+// string scrubber blanks quoted targets in the code view).
 std::vector<IncludeDirective> find_includes(const Scrubbed& s,
                                             const std::string& raw);
 
